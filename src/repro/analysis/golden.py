@@ -366,12 +366,12 @@ def _fair_share_scenario(
 def _weak_memory_scenario(
     config_overrides: dict | None = None, probe: Probe | None = None
 ) -> dict:
-    """Weak ordering with fences and monitor-implied barriers (§5.5)."""
+    """Weak ordering (``pso``) with fences and monitor-implied barriers (§5.5)."""
     from repro.kernel.memory import SimVar
 
     kernel = Kernel(
         _config(
-            dict(seed=0, trace=True, ncpus=2, memory_order="weak"),
+            dict(seed=0, trace=True, ncpus=2, memory_model="pso"),
             config_overrides,
         )
     )

@@ -8,19 +8,17 @@ multiprocessors with weakly ordered memory."
 /``Fence`` traps behave:
 
 =========  ==========================================================
-``sc``     Sequential consistency (the default): every store commits
-           globally at once; fences are no-ops.  Byte-identical to the
-           seed behaviour — the golden-schedule guard pins it.
+``sc``     Sequential consistency (the default,
+           :class:`MemorySystem`): every store commits globally at
+           once; fences are no-ops.  Byte-identical to the seed
+           behaviour — the golden-schedule guard pins it.
 ``tso``    x86-TSO: per-thread FIFO store buffers with store-to-load
            forwarding (:class:`StoreBufferMemory`).  Only store→load
            reordering is observable; the §5.5 hazards cannot occur.
 ``pso``    Per-thread buffers, FIFO per variable only: stores to
            different variables drain out of program order — the
-           machine on which both §5.5 examples break.
-``weak``   The legacy per-CPU randomly-delayed buffer
-           (:class:`~repro.kernel.memory.MemorySystem`), kept
-           byte-identical for the original case studies;
-           ``memory_order="weak"`` is an alias.
+           machine on which both §5.5 examples break, and the one the
+           case studies (:mod:`repro.casestudies.weakmem`) run on.
 =========  ==========================================================
 
 The buffered models expose controller-visible ``mem.drain`` decision

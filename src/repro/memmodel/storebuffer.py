@@ -1,10 +1,9 @@
 """Per-thread store-buffer memory models: x86-TSO and PSO.
 
-The legacy :class:`~repro.kernel.memory.MemorySystem` models §5.5's
-weak ordering with per-CPU buffers and randomly drawn visibility delays
-— good for *reproducing* the paper's hazards, but its nondeterminism
-lives in the RNG, outside the schedule-exploration seam.  These models
-move the nondeterminism into the seam:
+The buffered models behind ``KernelConfig(memory_model="tso"|"pso")``
+(the default ``sc`` is :class:`~repro.kernel.memory.MemorySystem`).
+The §5.5 case studies — pointer publication and the init-once hint —
+run on ``pso``:
 
 * **TSO** (``memory_model="tso"``, ``fifo=True``): each thread owns a
   FIFO store buffer.  A ``MemWrite`` enqueues locally; a ``MemRead``
@@ -67,10 +66,10 @@ class _Entry:
 class StoreBufferMemory:
     """Per-thread store buffers, FIFO (TSO) or per-variable FIFO (PSO).
 
-    Exposes the same counter names and call surface as
-    :class:`~repro.kernel.memory.MemorySystem` plus the drain-decision
-    seam (``drain_options``/``drain_option``) the kernel offers to the
-    schedule controller.
+    Exposes the same counter names and call surface as the sequentially
+    consistent :class:`~repro.kernel.memory.MemorySystem` plus the
+    drain-decision seam (``drain_options``/``drain_option``) the kernel
+    offers to the schedule controller.
     """
 
     #: The kernel's fence fast path keys off this.
@@ -80,8 +79,7 @@ class StoreBufferMemory:
 
     def __init__(self, config: KernelConfig, rng: Any, *, fifo: bool) -> None:
         self.fifo = fifo
-        self.weak = False  # not the legacy per-CPU model
-        self._delay = max(1, config.store_buffer_delay)
+        self._delay = config.store_buffer_delay
         self._rng = rng
         #: Fences that actually drained a store buffer.
         self.fences = 0
@@ -100,13 +98,7 @@ class StoreBufferMemory:
     # -- the MemorySystem surface -----------------------------------------
 
     def store(
-        self,
-        var: SimVar,
-        value: Any,
-        cpu_index: int,
-        now: int,
-        thread: Any = None,
-        token: Any = None,
+        self, var: SimVar, value: Any, now: int, thread: Any = None, token: Any = None
     ) -> None:
         self.stores += 1
         self._age(now)
@@ -122,12 +114,13 @@ class StoreBufferMemory:
         delay = self._rng.randint(1, self._delay)
         buffer.append(_Entry(var, value, now + delay, token))
 
-    def load(self, var: SimVar, cpu_index: int, now: int) -> Any:
-        return self.load_observed(var, cpu_index, now)[0]
+    def load(self, var: SimVar, now: int, thread: Any = None) -> Any:
+        return self.load_observed(var, now, thread)[0]
 
     def load_observed(
-        self, var: SimVar, cpu_index: int, now: int, thread: Any = None
+        self, var: SimVar, now: int, thread: Any = None
     ) -> tuple[Any, Any]:
+        """The value ``thread`` sees, with the race detector's write token."""
         self.loads += 1
         self._age(now)
         if thread is not None:
@@ -147,15 +140,10 @@ class StoreBufferMemory:
                 break
         return var.committed, var.token
 
-    def fence_cpu(
-        self,
-        cpu_index: int,
-        vars_touched: list[SimVar] | None = None,
-        thread: Any = None,
-    ) -> None:
+    def fence_cpu(self, thread: Any = None) -> None:
         """Drain the fencing *thread's* buffer completely, in program
-        order.  Only effective fences count in ``fences`` (same
-        convention as the legacy model)."""
+        order.  Only effective fences count in ``fences``: a fence that
+        finds an empty buffer is a request, not a fence."""
         self.fence_requests += 1
         if thread is None:
             return

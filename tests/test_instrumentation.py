@@ -5,7 +5,7 @@ import pytest
 from repro.kernel import Kernel, KernelConfig, SimVar, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.instrumentation import Tracer
-from repro.kernel.memory import MemorySystem
+from repro.kernel.memory import create_memory_model
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.stats import WindowStats
 
@@ -180,49 +180,60 @@ class TestChannels:
         k2.shutdown()
 
 
+class _FakeThread:
+    def __init__(self, tid, name):
+        self.tid = tid
+        self.name = name
+
+
 class TestMemoryModelUnit:
-    def _memory(self, order):
-        config = KernelConfig(memory_order=order, store_buffer_delay=usec(10))
-        return MemorySystem(config, DeterministicRng(0))
+    writer = _FakeThread(1, "writer")
+    reader = _FakeThread(2, "reader")
+
+    def _memory(self, model):
+        config = KernelConfig(memory_model=model, store_buffer_delay=usec(10))
+        return create_memory_model(config, DeterministicRng(0))
 
     def test_strong_ordering_immediate_visibility(self):
-        memory = self._memory("strong")
+        memory = self._memory("sc")
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        assert memory.load(var, cpu_index=1, now=0) == 1
+        memory.store(var, 1, now=0, thread=self.writer)
+        assert memory.load(var, now=0, thread=self.reader) == 1
 
     def test_weak_ordering_delays_cross_cpu_visibility(self):
-        memory = self._memory("weak")
+        memory = self._memory("pso")
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        assert memory.load(var, cpu_index=1, now=0) == 0  # not visible yet
-        assert memory.load(var, cpu_index=1, now=100) == 1  # delay elapsed
+        memory.store(var, 1, now=0, thread=self.writer)
+        assert memory.load(var, now=0, thread=self.reader) == 0  # buffered
+        assert memory.load(var, now=100, thread=self.reader) == 1  # aged out
 
     def test_store_to_load_forwarding_same_cpu(self):
-        memory = self._memory("weak")
+        memory = self._memory("pso")
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        assert memory.load(var, cpu_index=0, now=0) == 1  # own store visible
+        memory.store(var, 1, now=0, thread=self.writer)
+        # The writer sees its own buffered store.
+        assert memory.load(var, now=0, thread=self.writer) == 1
 
     def test_fence_publishes_own_stores(self):
-        memory = self._memory("weak")
+        memory = self._memory("pso")
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        memory.fence_cpu(0, [var])
-        assert memory.load(var, cpu_index=1, now=0) == 1
+        memory.store(var, 1, now=0, thread=self.writer)
+        memory.fence_cpu(thread=self.writer)
+        assert memory.load(var, now=0, thread=self.reader) == 1
 
     def test_fence_counts_effective_fences_only(self):
         # Regression: fence_cpu used to bump ``fences`` before its early
         # return, so strong-ordering runs reported nonzero fence work.
-        strong = self._memory("strong")
+        strong = self._memory("sc")
         var = SimVar("x", initial=0)
-        strong.fence_cpu(0, [var])
+        strong.fence_cpu(thread=self.writer)
         assert strong.fences == 0
         assert strong.fence_requests == 1
 
-        weak = self._memory("weak")
-        weak.fence_cpu(0, None)  # nothing to drain: request, not a fence
-        weak.fence_cpu(0, [var])  # effective
+        weak = self._memory("pso")
+        weak.fence_cpu(thread=self.writer)  # empty buffer: request, not a fence
+        weak.store(var, 1, now=0, thread=self.writer)
+        weak.fence_cpu(thread=self.writer)  # effective
         assert weak.fences == 1
         assert weak.fence_requests == 2
 
@@ -232,7 +243,7 @@ class TestMemoryModelUnit:
             yield p.Fence()
             yield p.Fence()
 
-        strong = make_kernel(memory_order="strong")
+        strong = make_kernel(memory_model="sc")
         strong.fork_root(body, (SimVar("x", initial=0),), name="fencer")
         strong.run_for(msec(1))
         # Strong ordering never reaches the memory system at all.
@@ -240,22 +251,24 @@ class TestMemoryModelUnit:
         assert strong.memory.fence_requests == 0
         strong.shutdown()
 
-        weak = make_kernel(memory_order="weak")
+        weak = make_kernel(memory_model="pso")
         weak.fork_root(body, (SimVar("x", initial=0),), name="fencer")
         weak.run_for(msec(1))
-        assert weak.memory.fences == 2
+        # The first fence drains the store; the second finds an empty
+        # buffer and is only a request.
+        assert weak.memory.fences == 1
         assert weak.memory.fence_requests == 2
         weak.shutdown()
 
     def test_coherence_old_value_never_resurfaces(self):
-        memory = self._memory("weak")
+        memory = self._memory("pso")
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        memory.store(var, 2, cpu_index=0, now=1)
+        memory.store(var, 1, now=0, thread=self.writer)
+        memory.store(var, 2, now=1, thread=self.writer)
         # Whatever the delays drew, once 2 is visible 1 must never return.
         saw_two = False
         for t in range(0, 30):
-            value = memory.load(var, cpu_index=1, now=t)
+            value = memory.load(var, now=t, thread=self.reader)
             if saw_two:
                 assert value == 2
             saw_two = saw_two or value == 2
