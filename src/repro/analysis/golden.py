@@ -2,8 +2,11 @@
 
 The determinism guard (``tests/test_golden_schedule.py``) pins SHA-256
 digests of twenty-one scenarios' full trace streams and final statistics.
-This module holds the scenario bodies and the fingerprint function so
-other consumers can run the same scenarios under varied configuration:
+This module holds the scenario bodies, the world builders and the
+fingerprint function.  The chaos sweep and the explorer build their
+worlds through the same builders (``world_builder``, ``server_builder``,
+``cluster_builder``, ``workload_builder``), and other consumers run the
+same scenarios under varied configuration:
 
 * the watchdog false-positive tests run every scenario with the watchdog
   enabled and assert both zero reports *and* fingerprint equality with
@@ -43,6 +46,8 @@ from repro.workloads.gvx import GVX_ACTIVITIES
 WORLD_RUN = sec(2)
 
 Probe = Callable[[Kernel], None]
+#: ``build(config) -> (kernel, shutdown)``: how every harness makes a world.
+Build = Callable[[KernelConfig], tuple]
 
 
 def default_golden_path() -> Path:
@@ -114,78 +119,126 @@ def _config(base: dict, overrides: dict | None) -> KernelConfig:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios
+# World builders
 # ---------------------------------------------------------------------------
+# Each builder takes a KernelConfig and returns (kernel, shutdown).  The
+# golden scenarios below, the chaos sweep and the explorer all build
+# their worlds through these, so the three agree on what a world is.
 
-def _world_scenario(builder, activities, activity):
-    def run(config_overrides: dict | None = None, probe: Probe | None = None) -> dict:
-        world, context = builder(_config(dict(seed=0, trace=True), config_overrides))
+def world_builder(builder, activities, activity) -> Build:
+    """A Cedar or GVX world running one of its Table 1-3 activities."""
+
+    def build(config: KernelConfig):
+        world, context = builder(config)
         install = activities[activity]
         if install is not None:
             install(world, context)
-        world.run_for(WORLD_RUN)
-        if probe is not None:
-            probe(world.kernel)
-        result = fingerprint(world.kernel)
-        world.shutdown()
-        return result
+        return world.kernel, world.shutdown
 
-    return run
+    return build
 
 
-def _spurious_scenario(semantics):
-    """The Section-6.1 producer/consumer across a priority boundary."""
+def server_builder(scenario: str) -> Build:
+    """The multi-tenant RPC server world (steady-state or overload)."""
+
+    def build(config: KernelConfig):
+        world, _server = build_server_world(config, scenario=scenario)
+        return world.kernel, world.shutdown
+
+    return build
+
+
+def cluster_builder(scenario: str) -> Build:
+    """The sharded cluster world: balancer, WFQ admission, two shards."""
+
+    def build(config: KernelConfig):
+        from repro.cluster.world import build_cluster_world
+
+        config.ncpus = 2
+        world, _balancer = build_cluster_world(config, scenario=scenario)
+        return world.kernel, world.shutdown
+
+    return build
+
+
+def workload_builder(scenario: str) -> Build:
+    """A compiled workload scenario: aggregate NHPP arrival pumps over
+    the cluster (plus, for cache scenarios, the cache tier)."""
+
+    def build(config: KernelConfig):
+        from repro.workload.scenarios import workload_spec
+        from repro.workload.world import build_workload_world
+
+        spec = workload_spec(scenario)
+        config.ncpus = spec.shards + (1 if spec.cache else 0)
+        ww = build_workload_world(config, spec=spec)
+        return ww.world.kernel, ww.world.shutdown
+
+    return build
+
+
+# ---------------------------------------------------------------------------
+# Scenarios
+# ---------------------------------------------------------------------------
+
+def _golden(build: Build, duration: int = WORLD_RUN, **base: Any) -> Callable[..., dict]:
+    """Run ``build`` for ``duration`` with tracing on and fingerprint it.
+
+    ``base`` holds the scenario's own ``KernelConfig`` fields, under the
+    caller's ``config_overrides``.
+    """
 
     def run(config_overrides: dict | None = None, probe: Probe | None = None) -> dict:
-        kernel = Kernel(
-            _config(
-                dict(seed=0, trace=True, notify_semantics=semantics),
-                config_overrides,
-            )
+        kernel, shutdown = build(
+            _config(dict(seed=0, trace=True, **base), config_overrides)
         )
-        lock = Monitor("pc")
-        nonempty = ConditionVariable(lock, "nonempty")
-        state = {"available": 0, "consumed": 0}
-
-        def consumer():
-            while state["consumed"] < 40:
-                yield Enter(lock)
-                try:
-                    while state["available"] == 0:
-                        yield Wait(nonempty, timeout=msec(200))
-                    state["available"] -= 1
-                    state["consumed"] += 1
-                finally:
-                    yield Exit(lock)
-
-        def producer():
-            for _ in range(40):
-                yield Enter(lock)
-                try:
-                    state["available"] += 1
-                    yield Notify(nonempty)
-                    yield p.Compute(usec(100))
-                finally:
-                    yield Exit(lock)
-                yield p.Compute(usec(50))
-
-        kernel.fork_root(consumer, name="consumer", priority=5)
-        kernel.fork_root(producer, name="producer", priority=3)
-        kernel.run_for(sec(5))
+        kernel.run_for(duration)
         if probe is not None:
             probe(kernel)
         result = fingerprint(kernel)
-        kernel.shutdown()
+        shutdown()
         return result
 
     return run
 
 
-def _donation_scenario(
-    config_overrides: dict | None = None, probe: Probe | None = None
-) -> dict:
+def _spurious(config: KernelConfig):
+    """The Section-6.1 producer/consumer across a priority boundary."""
+    kernel = Kernel(config)
+    lock = Monitor("pc")
+    nonempty = ConditionVariable(lock, "nonempty")
+    state = {"available": 0, "consumed": 0}
+
+    def consumer():
+        while state["consumed"] < 40:
+            yield Enter(lock)
+            try:
+                while state["available"] == 0:
+                    yield Wait(nonempty, timeout=msec(200))
+                state["available"] -= 1
+                state["consumed"] += 1
+            finally:
+                yield Exit(lock)
+
+    def producer():
+        for _ in range(40):
+            yield Enter(lock)
+            try:
+                state["available"] += 1
+                yield Notify(nonempty)
+                yield p.Compute(usec(100))
+            finally:
+                yield Exit(lock)
+            yield p.Compute(usec(50))
+
+    kernel.fork_root(consumer, name="consumer", priority=5)
+    kernel.fork_root(producer, name="producer", priority=3)
+    return kernel, kernel.shutdown
+
+
+def _donations(config: KernelConfig):
     """YieldButNotToMe and directed yields across priorities (§5.2, §6.2)."""
-    kernel = Kernel(_config(dict(seed=0, trace=True), config_overrides))
+    kernel = Kernel(config)
     progress = {"low": 0}
     handles = {}
 
@@ -208,24 +261,12 @@ def _donation_scenario(
     handles["low"] = kernel.fork_root(low, name="low", priority=2)
     kernel.fork_root(courteous_high, name="high", priority=6)
     kernel.fork_root(director, name="director", priority=7)
-    kernel.run_for(sec(1))
-    if probe is not None:
-        probe(kernel)
-    result = fingerprint(kernel)
-    kernel.shutdown()
-    return result
+    return kernel, kernel.shutdown
 
 
-def _fork_churn_scenario(
-    config_overrides: dict | None = None, probe: Probe | None = None
-) -> dict:
+def _fork_churn(config: KernelConfig):
     """Fork/join churn that exhausts thread slots (§5.4 resource waits)."""
-    kernel = Kernel(
-        _config(
-            dict(seed=0, trace=True, max_threads=8, fork_failure="wait"),
-            config_overrides,
-        )
-    )
+    kernel = Kernel(config)
 
     def leaf(work):
         yield p.Compute(work)
@@ -247,19 +288,12 @@ def _fork_churn_scenario(
             yield p.Join(top)
 
     kernel.fork_root(root, name="root", priority=4)
-    kernel.run_for(sec(2))
-    if probe is not None:
-        probe(kernel)
-    result = fingerprint(kernel)
-    kernel.shutdown()
-    return result
+    return kernel, kernel.shutdown
 
 
-def _timed_waits_scenario(
-    config_overrides: dict | None = None, probe: Probe | None = None
-) -> dict:
+def _timed_waits(config: KernelConfig):
     """Every timed-wait kind: sleeps, CV timeouts, channel timeouts."""
-    kernel = Kernel(_config(dict(seed=0, trace=True), config_overrides))
+    kernel = Kernel(config)
     channel = kernel.channel("dev")
     lock = Monitor("tw")
     cv = ConditionVariable(lock, "tw.cv", timeout=msec(80))
@@ -295,19 +329,12 @@ def _timed_waits_scenario(
     kernel.fork_root(receiver, name="receiver", priority=4)
     for i in range(4):
         kernel.post_at(msec(100 + 150 * i), lambda k: channel.post("pkt"))
-    kernel.run_for(sec(2))
-    if probe is not None:
-        probe(kernel)
-    result = fingerprint(kernel)
-    kernel.shutdown()
-    return result
+    return kernel, kernel.shutdown
 
 
-def _multiprocessor_scenario(
-    config_overrides: dict | None = None, probe: Probe | None = None
-) -> dict:
+def _multiprocessor(config: KernelConfig):
     """Two CPUs, mixed priorities, contention and preemption."""
-    kernel = Kernel(_config(dict(seed=0, trace=True, ncpus=2), config_overrides))
+    kernel = Kernel(config)
     lock = Monitor("mp")
 
     def worker(slice_us):
@@ -327,24 +354,12 @@ def _multiprocessor_scenario(
     for i, prio in enumerate([2, 3, 4, 4, 5]):
         kernel.fork_root(worker, args=(usec(400 + 100 * i),), priority=prio)
     kernel.fork_root(interrupter, name="interrupter", priority=7)
-    kernel.run_for(sec(1))
-    if probe is not None:
-        probe(kernel)
-    result = fingerprint(kernel)
-    kernel.shutdown()
-    return result
+    return kernel, kernel.shutdown
 
 
-def _fair_share_scenario(
-    config_overrides: dict | None = None, probe: Probe | None = None
-) -> dict:
+def _fair_share(config: KernelConfig):
     """The Section-7 lottery policy: different code path entirely."""
-    kernel = Kernel(
-        _config(
-            dict(seed=0, trace=True, scheduler_policy="fair_share"),
-            config_overrides,
-        )
-    )
+    kernel = Kernel(config)
     progress = {}
 
     def worker(tag):
@@ -355,26 +370,14 @@ def _fair_share_scenario(
 
     for tag, prio in [("a", 1), ("b", 4), ("c", 7)]:
         kernel.fork_root(worker, args=(tag,), name=tag, priority=prio)
-    kernel.run_for(sec(1))
-    if probe is not None:
-        probe(kernel)
-    result = fingerprint(kernel)
-    kernel.shutdown()
-    return result
+    return kernel, kernel.shutdown
 
 
-def _weak_memory_scenario(
-    config_overrides: dict | None = None, probe: Probe | None = None
-) -> dict:
+def _weak_memory(config: KernelConfig):
     """Weak ordering (``pso``) with fences and monitor-implied barriers (§5.5)."""
     from repro.kernel.memory import SimVar
 
-    kernel = Kernel(
-        _config(
-            dict(seed=0, trace=True, ncpus=2, memory_model="pso"),
-            config_overrides,
-        )
-    )
+    kernel = Kernel(config)
     flag = SimVar("flag", 0)
     data = SimVar("data", 0)
     lock = Monitor("wm")
@@ -399,132 +402,61 @@ def _weak_memory_scenario(
 
     kernel.fork_root(writer, name="writer", priority=4)
     kernel.fork_root(reader, name="reader", priority=4)
-    kernel.run_for(sec(1))
-    if probe is not None:
-        probe(kernel)
-    result = fingerprint(kernel)
-    kernel.shutdown()
-    return result
+    return kernel, kernel.shutdown
 
 
-def _server_scenario(scenario):
-    """The multi-tenant RPC server world (steady-state and overload)."""
-
-    def run(config_overrides: dict | None = None, probe: Probe | None = None) -> dict:
-        world, _server = build_server_world(
-            _config(dict(seed=0, trace=True), config_overrides),
-            scenario=scenario,
-        )
-        world.run_for(WORLD_RUN)
-        if probe is not None:
-            probe(world.kernel)
-        result = fingerprint(world.kernel)
-        world.shutdown()
-        return result
-
-    return run
-
-
-def _cluster_scenario(scenario):
-    """The sharded cluster world: balancer, WFQ admission, two shards."""
-
-    def run(config_overrides: dict | None = None, probe: Probe | None = None) -> dict:
-        from repro.cluster.world import build_cluster_world
-
-        world, _balancer = build_cluster_world(
-            _config(dict(seed=0, trace=True, ncpus=2), config_overrides),
-            scenario=scenario,
-        )
-        world.run_for(WORLD_RUN)
-        if probe is not None:
-            probe(world.kernel)
-        result = fingerprint(world.kernel)
-        world.shutdown()
-        return result
-
-    return run
-
-
-def _cluster_replicated_scenario(kill: bool):
+def _cluster_replicated(kill: bool) -> Build:
     """The replicated cluster: log shipping, lease, standby — and, with
     ``kill``, a posted mid-run primary kill driving a full promotion.
     Pinning both proves the whole failover path (op-log ship/apply,
     replay, lease renewal) is itself deterministic."""
 
-    def run(config_overrides: dict | None = None, probe: Probe | None = None) -> dict:
+    def build(config: KernelConfig):
         from repro.cluster.replication import install_primary_kill
         from repro.cluster.world import build_cluster_world
 
         world, balancer = build_cluster_world(
-            _config(dict(seed=0, trace=True, ncpus=2), config_overrides),
-            scenario="failover",
-            shards=1,
-            replicas=True,
+            config, scenario="failover", shards=1, replicas=True
         )
         if kill:
             install_primary_kill(world, balancer, 0, msec(100))
-        world.run_for(WORLD_RUN)
-        if probe is not None:
-            probe(world.kernel)
-        result = fingerprint(world.kernel)
-        world.shutdown()
-        return result
+        return world.kernel, world.shutdown
 
-    return run
-
-
-def _workload_scenario(scenario):
-    """A compiled workload scenario: aggregate NHPP arrival pumps over
-    the cluster (plus, for cache scenarios, the cache tier).  Pinning
-    these proves the thinning pumps, the resubmit sinks and the cache's
-    fill/invalidation machinery are deterministic end to end."""
-
-    def run(config_overrides: dict | None = None, probe: Probe | None = None) -> dict:
-        from repro.workload.scenarios import workload_spec
-        from repro.workload.world import build_workload_world
-
-        spec = workload_spec(scenario)
-        ncpus = spec.shards + (1 if spec.cache else 0)
-        ww = build_workload_world(
-            _config(dict(seed=0, trace=True, ncpus=ncpus), config_overrides),
-            spec=spec,
-        )
-        ww.world.run_for(WORLD_RUN)
-        if probe is not None:
-            probe(ww.world.kernel)
-        result = fingerprint(ww.world.kernel)
-        ww.world.shutdown()
-        return result
-
-    return run
+    return build
 
 
 SCENARIOS: dict[str, Callable[..., dict]] = {
-    "cedar-idle": _world_scenario(build_cedar_world, CEDAR_ACTIVITIES, "idle"),
-    "cedar-keyboard": _world_scenario(
-        build_cedar_world, CEDAR_ACTIVITIES, "keyboard"
+    "cedar-idle": _golden(world_builder(build_cedar_world, CEDAR_ACTIVITIES, "idle")),
+    "cedar-keyboard": _golden(
+        world_builder(build_cedar_world, CEDAR_ACTIVITIES, "keyboard")
     ),
-    "cedar-formatting": _world_scenario(
-        build_cedar_world, CEDAR_ACTIVITIES, "formatting"
+    "cedar-formatting": _golden(
+        world_builder(build_cedar_world, CEDAR_ACTIVITIES, "formatting")
     ),
-    "gvx-idle": _world_scenario(build_gvx_world, GVX_ACTIVITIES, "idle"),
-    "gvx-keyboard": _world_scenario(build_gvx_world, GVX_ACTIVITIES, "keyboard"),
-    "spurious-immediate": _spurious_scenario("immediate"),
-    "spurious-deferred": _spurious_scenario("deferred"),
-    "donations": _donation_scenario,
-    "fork-churn": _fork_churn_scenario,
-    "timed-waits": _timed_waits_scenario,
-    "multiprocessor": _multiprocessor_scenario,
-    "fair-share": _fair_share_scenario,
-    "weak-memory": _weak_memory_scenario,
-    "server-steady": _server_scenario("steady"),
-    "server-overload": _server_scenario("overload"),
-    "cluster-steady": _cluster_scenario("steady"),
-    "cluster-skewed": _cluster_scenario("skewed"),
-    "cluster-replicated": _cluster_replicated_scenario(kill=False),
-    "cluster-failover": _cluster_replicated_scenario(kill=True),
-    "workload-diurnal": _workload_scenario("diurnal"),
-    "cache-steady": _workload_scenario("cache-steady"),
+    "gvx-idle": _golden(world_builder(build_gvx_world, GVX_ACTIVITIES, "idle")),
+    "gvx-keyboard": _golden(
+        world_builder(build_gvx_world, GVX_ACTIVITIES, "keyboard")
+    ),
+    "spurious-immediate": _golden(
+        _spurious, sec(5), notify_semantics="immediate"
+    ),
+    "spurious-deferred": _golden(_spurious, sec(5), notify_semantics="deferred"),
+    "donations": _golden(_donations, sec(1)),
+    "fork-churn": _golden(
+        _fork_churn, sec(2), max_threads=8, fork_failure="wait"
+    ),
+    "timed-waits": _golden(_timed_waits, sec(2)),
+    "multiprocessor": _golden(_multiprocessor, sec(1), ncpus=2),
+    "fair-share": _golden(_fair_share, sec(1), scheduler_policy="fair_share"),
+    "weak-memory": _golden(_weak_memory, sec(1), ncpus=2, memory_model="pso"),
+    "server-steady": _golden(server_builder("steady")),
+    "server-overload": _golden(server_builder("overload")),
+    "cluster-steady": _golden(cluster_builder("steady")),
+    "cluster-skewed": _golden(cluster_builder("skewed")),
+    "cluster-replicated": _golden(_cluster_replicated(kill=False), ncpus=2),
+    "cluster-failover": _golden(_cluster_replicated(kill=True), ncpus=2),
+    "workload-diurnal": _golden(workload_builder("diurnal")),
+    "cache-steady": _golden(workload_builder("cache-steady")),
 }
 
 

@@ -226,7 +226,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
     """Seeded fault-injection sweep with the waits-for watchdog on."""
     import os
 
-    from repro.analysis.chaos import run_sweep, write_report
+    from repro.analysis.chaos import run_sweep
 
     runs = 4 if args.smoke else args.runs
     scenarios = None
@@ -256,51 +256,53 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         verdict = "match" if golden["ok"] else f"DIVERGED: {golden['mismatches']}"
         print(f"faults-off golden hashes ({golden['scenarios']} scenarios): "
               f"{verdict}")
-    if args.output:
-        write_report(report, args.output)
-        print(f"wrote report to {args.output}")
+    _finish(report, args.output)
+
+
+def _finish(report: dict, output: "str | None") -> None:
+    """Write the report (when asked) and exit 1 unless it is ok."""
+    from repro.explore.driver import write_report
+
+    if output:
+        write_report(report, output)
+        print(f"wrote report to {output}")
     if not report["ok"]:
         raise SystemExit(1)
 
 
+def _replay(path: str, check: "Callable[[object], list] | None" = None) -> None:
+    """Replay a saved trace through the one replay path, print it, and
+    exit 1 if it diverged from its recording.  ``check`` adds
+    command-specific divergences, given the loaded trace."""
+    from repro.explore import DecisionTrace, replay_trace
+
+    trace = DecisionTrace.load(path)
+    try:
+        _scenario, outcome, diverged = replay_trace(trace)
+    except KeyError as error:
+        print(error.args[0], file=sys.stderr)
+        raise SystemExit(1) from None
+    print(outcome.trace.render())
+    if outcome.violation is not None:
+        print(f"violation: {outcome.violation}")
+    if check is not None:
+        diverged += check(trace)
+    if diverged:
+        print("\n".join(diverged))
+        raise SystemExit(1)
+    verified = "fingerprint" in trace.meta
+    print("replay ok" + (" (fingerprint verified)" if verified else ""))
+
+
 def _cmd_explore(args: argparse.Namespace) -> None:
     """Systematic schedule exploration with counterexample minimization."""
-    import json
     import os
 
-    from repro.explore import (
-        SCENARIOS,
-        DecisionTrace,
-        explore,
-        make_strategy,
-        replay,
-        resolve,
-    )
+    from repro.explore import explore, make_strategy, resolve
+    from repro.explore.driver import save_trace
 
     if args.replay:
-        trace = DecisionTrace.load(args.replay)
-        name = trace.meta.get("scenario", "")
-        seed = int(trace.meta.get("seed", args.seed))
-        scenario = SCENARIOS.get(name) or _chaos_as_explore_scenario(
-            name, trace.meta
-        )
-        if scenario is None:
-            print(f"trace names unknown scenario {name!r}", file=sys.stderr)
-            raise SystemExit(1)
-        outcome = replay(scenario, trace.choices, seed=seed)
-        print(outcome.trace.render())
-        if outcome.violation is not None:
-            print(f"violation: {outcome.violation}")
-        expected = trace.meta.get("trace_hash")
-        actual = outcome.fingerprint.get("trace")
-        if expected and expected != actual:
-            print(f"REPLAY DIVERGED: trace hash {actual} != recorded "
-                  f"{expected}")
-            raise SystemExit(1)
-        if trace.meta.get("violation") and outcome.violation is None:
-            print("REPLAY DID NOT REPRODUCE the recorded violation")
-            raise SystemExit(1)
-        print("replay ok" + (" (trace hash verified)" if expected else ""))
+        _replay(args.replay)
         return
 
     results = []
@@ -314,47 +316,35 @@ def _cmd_explore(args: argparse.Namespace) -> None:
         entry = result.to_dict()
         if result.minimized is not None and args.output:
             minimized = result.minimized
-            trace = minimized.outcome.trace
-            trace.meta.update(
-                scenario=scenario.name,
-                seed=minimized.seed,
-                violation=minimized.violation,
-                trace_hash=minimized.replay_hash.get("trace"),
-            )
             out_dir = os.path.dirname(os.path.abspath(args.output))
             path = os.path.join(
                 out_dir, f"explore-{scenario.name}.trace.json"
             )
-            trace.save(path)
+            save_trace(
+                scenario.name, minimized.outcome, path,
+                violation=minimized.violation,
+            )
             entry["trace_path"] = path
             print(f"{scenario.name}: minimal trace -> {path}")
         results.append(entry)
         all_ok = all_ok and result.ok
-    report = {
+    found = sum(1 for r in results if "found_at" in r)
+    print(f"\n{len(results)} scenarios explored, {found} violations found "
+          f"and minimized: {'ok' if all_ok else 'FAILED'}")
+    _finish({
         "seed": args.seed,
         "strategy": args.strategy,
         "budget": args.budget,
         "scenarios": results,
         "ok": all_ok,
-    }
-    found = sum(1 for r in results if "found_at" in r)
-    print(f"\n{len(results)} scenarios explored, {found} violations found "
-          f"and minimized: {'ok' if all_ok else 'FAILED'}")
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote report to {args.output}")
-    if not all_ok:
-        raise SystemExit(1)
+    }, args.output)
 
 
 def _cmd_litmus(args: argparse.Namespace) -> None:
     """Enumerate litmus-test outcomes per memory model (Section 5.5)."""
-    import json
     import os
 
-    from repro.explore import replay
+    from repro.explore.driver import save_trace
     from repro.memmodel.litmus import (
         LITMUS_TESTS,
         MODELS,
@@ -364,37 +354,21 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
     )
 
     if args.replay:
-        from repro.explore import DecisionTrace
+        def registers_match(trace) -> list:
+            test_name = trace.meta.get("test", "")
+            model = trace.meta.get("model", "")
+            if test_name not in LITMUS_TESTS or model not in MODELS:
+                return [f"trace names unknown litmus pair "
+                        f"{test_name!r}/{model!r}"]
+            registers = litmus_scenario(test_name, model)[1].get("outcome")
+            print(f"litmus {test_name}/{model} outcome: {registers}")
+            recorded = trace.meta.get("outcome")
+            if recorded is not None and tuple(recorded) != registers:
+                return [f"REPLAY DID NOT REPRODUCE the recorded outcome "
+                        f"{tuple(recorded)}"]
+            return []
 
-        trace = DecisionTrace.load(args.replay)
-        test_name = trace.meta.get("test", "")
-        model = trace.meta.get("model", "")
-        if test_name not in LITMUS_TESTS or model not in MODELS:
-            print(f"trace names unknown litmus pair {test_name!r}/{model!r}",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        scenario, state = litmus_scenario(test_name, model)
-        seed = int(trace.meta.get("seed", args.seed))
-        outcome = replay(scenario, trace.choices, seed=seed)
-        print(outcome.trace.render())
-        registers = state.get("outcome")
-        print(f"litmus {test_name}/{model} outcome: {registers}")
-        failed = False
-        expected_hash = trace.meta.get("trace_hash")
-        if expected_hash and expected_hash != outcome.fingerprint.get("trace"):
-            print(f"REPLAY DIVERGED: trace hash "
-                  f"{outcome.fingerprint.get('trace')} != recorded "
-                  f"{expected_hash}")
-            failed = True
-        recorded = trace.meta.get("outcome")
-        if recorded is not None and tuple(recorded) != registers:
-            print(f"REPLAY DID NOT REPRODUCE the recorded outcome "
-                  f"{tuple(recorded)}")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print("replay ok"
-              + (" (trace hash verified)" if expected_hash else ""))
+        _replay(args.replay, registers_match)
         return
 
     tests = (list(LITMUS_TESTS) if args.test == "all"
@@ -445,22 +419,16 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
             if args.trace_dir:
                 os.makedirs(args.trace_dir, exist_ok=True)
                 saved = []
+                name = f"litmus-{test_name}-{model}"
                 for registers in relaxed:
-                    witness = result.witnesses[registers]
-                    witness.trace.meta.update(
-                        scenario=f"litmus-{test_name}-{model}",
-                        test=test_name,
-                        model=model,
-                        outcome=list(registers),
-                        seed=witness.seed,
-                        trace_hash=witness.fingerprint.get("trace"),
-                    )
                     tag = "".join(str(bit) for bit in registers)
                     path = os.path.join(
-                        args.trace_dir,
-                        f"litmus-{test_name}-{model}-{tag}.trace.json",
+                        args.trace_dir, f"{name}-{tag}.trace.json"
                     )
-                    witness.trace.save(path)
+                    save_trace(
+                        name, result.witnesses[registers], path,
+                        test=test_name, model=model, outcome=list(registers),
+                    )
                     saved.append(path)
                     print(f"       witness {registers} -> {path}")
                 entry["witness_paths"] = saved
@@ -468,41 +436,7 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
             all_ok = all_ok and sound and complete
     print(f"\n{len(pairs)} litmus pairs: "
           f"{'all reachable sets match the pins' if all_ok else 'FAILED'}")
-    if args.output:
-        report = {"seed": args.seed, "pairs": pairs, "ok": all_ok}
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote report to {args.output}")
-    if not all_ok:
-        raise SystemExit(1)
-
-
-def _chaos_as_explore_scenario(name: str, meta: dict):
-    """Wrap a chaos scenario so a saved chaos trace can be replayed."""
-    from repro.analysis.chaos import (
-        CHAOS_RUN,
-        DIRECTED_SCENARIOS,
-        SWEEP_SCENARIOS,
-    )
-    from repro.analysis.faults import FaultPlan
-    from repro.explore import ExploreScenario
-
-    for chaos_scenario in DIRECTED_SCENARIOS + SWEEP_SCENARIOS:
-        if chaos_scenario.name == name:
-            break
-    else:
-        return None
-    plan_kwargs = dict(meta.get("plan", {}))
-    plan_kwargs["kill_immune"] = tuple(meta.get("kill_immune", ()))
-    return ExploreScenario(
-        name=name,
-        build=chaos_scenario.build,
-        horizon=CHAOS_RUN,
-        plan=FaultPlan(**plan_kwargs),
-        expect_violation=False,
-        check=lambda kernel: None,
-    )
+    _finish({"seed": args.seed, "pairs": pairs, "ok": all_ok}, args.output)
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -768,7 +702,8 @@ def main(argv: list[str] | None = None) -> int:
                              help="max schedules per scenario (default 200)")
             sub.add_argument("--replay", default=None, metavar="FILE",
                              help="replay a saved decision trace instead of "
-                                  "exploring; verifies the recorded hash")
+                                  "exploring; verifies the recorded "
+                                  "fingerprint")
             sub.add_argument("--output", default=None,
                              help="write the JSON report here (minimal "
                                   "traces are saved alongside it)")
@@ -790,7 +725,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "beyond-SC outcome reached")
             sub.add_argument("--replay", default=None, metavar="FILE",
                              help="replay a saved witness trace; verifies "
-                                  "the recorded hash and outcome")
+                                  "the recorded fingerprint and outcome")
             sub.add_argument("--output", default=None,
                              help="write the JSON report here")
         if name == "chaos":

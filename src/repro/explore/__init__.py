@@ -13,12 +13,14 @@ Layers:
   :class:`ScheduleController` (the seam the kernel consults);
 * :mod:`repro.explore.strategies` — random walk, PCT, seed sweep,
   exhaustive bounded enumeration;
-* :mod:`repro.explore.scenarios` — what to explore and what counts as
-  a violation;
-* :mod:`repro.explore.driver` — the per-schedule invariant harness and
-  the exploration loop;
+* :mod:`repro.explore.scenarios` — the one scenario registry (explore,
+  chaos and litmus scenarios) and what counts as a violation;
+* :mod:`repro.explore.driver` — the run harness shared by ``explore``,
+  ``chaos`` and ``litmus``: the per-schedule invariant battery, the
+  search loop and the report writer;
 * :mod:`repro.explore.minimize` — prefix bisection + greedy
-  sparsification down to a minimal forced schedule.
+  sparsification down to a minimal forced schedule, and the one replay
+  path for saved traces.
 
 Entry point: ``python -m repro explore`` (see ``docs/EXPLORATION.md``).
 """
@@ -29,8 +31,14 @@ from repro.explore.driver import (
     all_waiting,
     explore,
     run_schedule,
+    search,
 )
-from repro.explore.minimize import MinimizedCounterexample, minimize, replay
+from repro.explore.minimize import (
+    MinimizedCounterexample,
+    minimize,
+    replay,
+    replay_trace,
+)
 from repro.explore.scenarios import CLEAN, DIRECTED, SCENARIOS, ExploreScenario, resolve
 from repro.explore.strategies import (
     STRATEGIES,
@@ -75,6 +83,8 @@ __all__ = [
     "make_strategy",
     "minimize",
     "replay",
+    "replay_trace",
     "resolve",
     "run_schedule",
+    "search",
 ]

@@ -1,13 +1,15 @@
-"""The exploration loop: schedules in, verdicts and counterexamples out.
+"""The run harness: schedules in, verdicts and replayable traces out.
 
 One *schedule* = one deterministic kernel run of a scenario with a
-:class:`ScheduleController` answering every decision point.  Each
-schedule runs under the full invariant harness (the chaos checks plus a
-race-detector sweep), so exploration is not just hunting the scenario's
-expected bug — any schedule that leaks a monitor hold, loses a waits-for
-cycle, or fails to reconcile stats is itself a finding.
+:class:`ScheduleController` answering every decision point.  The chaos
+sweep, the explorer and the litmus battery all run their schedules
+through :func:`run_schedule`, so every run passes the same invariant
+battery (:func:`check_invariants` plus a race-detector sweep): any
+schedule that leaks a monitor hold, loses a waits-for cycle, or fails
+to reconcile stats is a finding, whatever the scenario expected.
 
-Dead schedules terminate early two ways:
+A scenario that expects a violation stops a dead schedule early, two
+ways:
 
 * the waits-for watchdog confirms a cycle (``stop_when`` fires on the
   very sweep that found it), and
@@ -15,20 +17,122 @@ Dead schedules terminate early two ways:
   timeout is pending, and every live thread is blocked in a state only
   another thread could release — the schedule can never make progress
   again, so there is no point grinding fault ticks to the horizon.
+
+Every other scenario runs to its horizon.  The rule depends on the
+scenario alone, so a replay runs exactly as long as its recording.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Iterator
 
-from repro.analysis.chaos import check_invariants
 from repro.analysis.golden import fingerprint
-from repro.explore.scenarios import ExploreScenario
+from repro.analysis.watchdog import waits_on
+from repro.explore.scenarios import ExploreScenario, partial_deadlock_missing
 from repro.explore.strategies import Strategy
 from repro.explore.trace import DecisionTrace, ScheduleController
 from repro.kernel import Kernel, KernelConfig
 from repro.kernel.thread import ThreadState
+
+
+# ---------------------------------------------------------------------------
+# The invariant battery
+# ---------------------------------------------------------------------------
+
+def _brute_force_cycles(kernel: Kernel) -> list[frozenset[int]]:
+    """Independent waits-for cycle scan, sharing no state with the
+    watchdog: every live thread is a start node, every edge re-derived."""
+    cycles: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for start in kernel.threads.values():
+        if not start.alive:
+            continue
+        path: list[int] = []
+        on_path: set[int] = set()
+        node = start
+        while node is not None and node.tid not in on_path:
+            path.append(node.tid)
+            on_path.add(node.tid)
+            node = waits_on(node)
+        if node is not None:
+            cycle = frozenset(path[path.index(node.tid):])
+            if cycle not in seen:
+                seen.add(cycle)
+                cycles.append(cycle)
+    return cycles
+
+
+def check_invariants(kernel: Kernel, *, expect_deadlock: bool) -> list[str]:
+    """All post-run invariant checks; returns human-readable violations."""
+    failures: list[str] = []
+    stats = kernel.stats
+
+    # 1. Monitor-hold consistency (no leaks through kills/unwinds).
+    monitors: dict[int, Any] = {}
+    for thread in kernel.threads.values():
+        for monitor in thread.held_monitors:
+            monitors[monitor.uid] = monitor
+            if not thread.alive:
+                failures.append(
+                    f"dead thread {thread.name!r} still lists "
+                    f"monitor {monitor.name!r} as held"
+                )
+            elif monitor.owner is not thread:
+                failures.append(
+                    f"{thread.name!r} holds {monitor.name!r} but its owner "
+                    f"is {getattr(monitor.owner, 'name', None)!r}"
+                )
+        candidate = thread.blocked_on
+        if hasattr(candidate, "entry_queue") and hasattr(candidate, "owner"):
+            monitors[candidate.uid] = candidate
+    for monitor in monitors.values():
+        owner = monitor.owner
+        if owner is not None and monitor not in owner.held_monitors:
+            failures.append(
+                f"monitor {monitor.name!r} names owner {owner.name!r} "
+                "which does not hold it"
+            )
+
+    # 2. Thread accounting reconciles.
+    live = sum(1 for t in kernel.threads.values() if t.alive)
+    if stats.live_threads != live:
+        failures.append(
+            f"live_threads={stats.live_threads} but {live} threads alive"
+        )
+    if stats.threads_created != stats.threads_finished + stats.live_threads:
+        failures.append(
+            f"created={stats.threads_created} != finished="
+            f"{stats.threads_finished} + live={stats.live_threads}"
+        )
+    expected_stack = stats.live_threads * kernel.config.stack_reservation
+    if stats.stack_bytes != expected_stack:
+        failures.append(
+            f"stack_bytes={stats.stack_bytes} != live*reservation="
+            f"{expected_stack}"
+        )
+
+    # 3. Every partial deadlock detected: force a final sweep, then scan
+    # independently and require containment.
+    watchdog = kernel.watchdog
+    if watchdog is not None:
+        watchdog.check(kernel.now)
+        reported = {report.tids for report in watchdog.deadlocks}
+        for cycle in _brute_force_cycles(kernel):
+            if cycle not in reported:
+                names = sorted(
+                    kernel.threads[tid].name for tid in cycle
+                )
+                failures.append(f"undetected waits-for cycle: {names}")
+
+    # 4. Directed scenarios: the wedge must exist, be reported, and be
+    # *partial* — a bystander still making progress.
+    if expect_deadlock:
+        missing = partial_deadlock_missing(kernel)
+        if missing is not None:
+            failures.append(missing)
+    return failures
 
 
 def all_waiting(kernel: Kernel) -> bool:
@@ -64,14 +168,25 @@ def all_waiting(kernel: Kernel) -> bool:
     return True
 
 
+def _dead(kernel: Kernel) -> bool:
+    """``stop_when`` for scenarios that expect a violation."""
+    if kernel.watchdog is not None and kernel.watchdog.deadlocks:
+        return True
+    return all_waiting(kernel)
+
+
+# ---------------------------------------------------------------------------
+# One schedule
+# ---------------------------------------------------------------------------
+
 @dataclass
 class ScheduleOutcome:
-    """Everything one explored schedule produced."""
+    """Everything one schedule produced."""
 
     index: int
     seed: int
     trace: DecisionTrace
-    #: The scenario's expected failure, when its check tripped.
+    #: The scenario's check, when it tripped.
     violation: "str | None" = None
     #: Generic invariant-harness failures (never acceptable).
     harness_failures: list = field(default_factory=list)
@@ -83,6 +198,12 @@ class ScheduleOutcome:
     @property
     def failed(self) -> bool:
         return self.violation is not None or bool(self.harness_failures)
+
+    @property
+    def failures(self) -> list:
+        """The violation (if any) followed by the harness failures."""
+        head = [self.violation] if self.violation is not None else []
+        return head + self.harness_failures
 
 
 def run_schedule(
@@ -102,19 +223,17 @@ def run_schedule(
     )
     kernel, shutdown = scenario.build(config)
     outcome = ScheduleOutcome(index=index, seed=seed, trace=controller.trace)
-
-    def stop_when(k: Kernel) -> bool:
-        if k.watchdog is not None and k.watchdog.deadlocks:
-            return True
-        return all_waiting(k)
-
     try:
         try:
             kernel.run_until(
-                scenario.horizon, raise_on_deadlock=False, stop_when=stop_when
+                scenario.horizon,
+                raise_on_deadlock=False,
+                stop_when=_dead if scenario.expect_violation else None,
             )
-        except Exception as error:  # noqa: BLE001 - a forced schedule
-            # surfaced a workload bug; report it, don't crash the sweep.
+        except Exception as error:  # noqa: BLE001 - a forced schedule or
+            # an injected fault surfaced a workload bug (e.g. a monitor
+            # held without try/finally when a kill unwound it); report
+            # it, don't crash the sweep.
             outcome.harness_failures.append(f"run aborted: {error!r}")
         outcome.stopped_at = kernel.now
         if kernel.watchdog is not None:
@@ -130,6 +249,7 @@ def run_schedule(
         outcome.fingerprint = fingerprint(kernel)
     finally:
         shutdown()
+    # Post-shutdown: everything returned.
     stats = kernel.stats
     if stats.live_threads != 0:
         outcome.harness_failures.append(
@@ -140,6 +260,55 @@ def run_schedule(
             f"after shutdown: stack_bytes={stats.stack_bytes}"
         )
     return outcome
+
+
+def save_trace(
+    name: str, outcome: ScheduleOutcome, path: str, /, **meta: Any
+) -> None:
+    """Save ``outcome``'s decision trace with what a replay needs: the
+    scenario's registry name, the kernel seed and the run fingerprint
+    (see :func:`repro.explore.minimize.replay_trace`)."""
+    outcome.trace.meta.update(
+        scenario=name, seed=outcome.seed, fingerprint=outcome.fingerprint,
+        **meta,
+    )
+    outcome.trace.save(path)
+
+
+def write_report(report: dict, path: str) -> None:
+    """The JSON report every harness command writes."""
+    with open(path, "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# The search loop
+# ---------------------------------------------------------------------------
+
+def search(
+    scenario: ExploreScenario,
+    strategy: Strategy,
+    *,
+    budget: int,
+    seed: int = 0,
+) -> Iterator[ScheduleOutcome]:
+    """Run up to ``budget`` schedules of ``strategy`` over ``scenario``.
+
+    Yields each outcome after the strategy has observed it.  The search
+    is exhausted when ``strategy.exhausted`` holds once the loop ends.
+    """
+    for index in range(budget):
+        if strategy.exhausted:
+            return
+        outcome = run_schedule(
+            scenario,
+            strategy.controller(index),
+            seed=strategy.kernel_seed(index, seed),
+            index=index,
+        )
+        strategy.observe(outcome.trace)
+        yield outcome
 
 
 @dataclass
@@ -212,19 +381,9 @@ def explore(
     result = ExploreResult(
         scenario=scenario.name, strategy=strategy.name, budget=budget
     )
-    for index in range(budget):
-        if strategy.exhausted:
-            result.exhausted = True
-            break
-        controller = strategy.controller(index)
-        outcome = run_schedule(
-            scenario,
-            controller,
-            seed=strategy.kernel_seed(index, seed),
-            index=index,
-        )
+    for outcome in search(scenario, strategy, budget=budget, seed=seed):
+        index = outcome.index
         result.schedules_run += 1
-        strategy.observe(outcome.trace)
         if outcome.harness_failures:
             result.harness_failures.append(
                 {"index": index, "failures": list(outcome.harness_failures)}
@@ -246,6 +405,7 @@ def explore(
             result.unexpected = outcome
             result._ok = False
             return result
+    result.exhausted = strategy.exhausted
     if scenario.expect_violation:
         say(f"{scenario.name}: budget exhausted, violation NOT found")
         result._ok = False

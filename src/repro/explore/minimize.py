@@ -1,4 +1,5 @@
-"""Counterexample minimization: shrink a failing schedule to its core.
+"""Counterexample minimization and replay: shrink a failing schedule to
+its core, and re-run a saved one.
 
 A failing :class:`DecisionTrace` from a random walk is long and mostly
 noise — hundreds of decisions, of which perhaps one actually matters.
@@ -25,12 +26,13 @@ it end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro.analysis.faults import FaultPlan
 from repro.explore.driver import ScheduleOutcome, run_schedule
-from repro.explore.scenarios import ExploreScenario
-from repro.explore.trace import TAIL_BASELINE, ScheduleController
+from repro.explore.scenarios import SCENARIOS, ExploreScenario
+from repro.explore.trace import TAIL_BASELINE, DecisionTrace, ScheduleController
 
 
 @dataclass
@@ -78,6 +80,40 @@ def replay(
     """Run ``scenario`` forcing ``choices`` positionally, baseline tail."""
     controller = ScheduleController(force=list(choices), tail=TAIL_BASELINE)
     return run_schedule(scenario, controller, seed=seed)
+
+
+def replay_trace(
+    trace: DecisionTrace,
+) -> "tuple[ExploreScenario, ScheduleOutcome, list[str]]":
+    """Replay a saved trace and verify it against its recording.
+
+    The trace's meta names a registered scenario, the kernel seed and,
+    for a chaos run, the sampled fault plan.  Returns the scenario, the
+    replayed outcome and the ways the replay diverged: a fingerprint
+    (trace hash and stats hash) other than the recorded one, or a
+    recorded violation that did not recur.  Raises KeyError when the
+    scenario is not registered.
+    """
+    meta = trace.meta
+    name = meta.get("scenario", "")
+    if name not in SCENARIOS:
+        raise KeyError(f"trace names unknown scenario {name!r}")
+    scenario = SCENARIOS[name]
+    if "plan" in meta:
+        scenario = replace(scenario, plan=FaultPlan(
+            **meta["plan"], kill_immune=tuple(meta.get("kill_immune", ())),
+        ))
+    outcome = replay(scenario, trace.choices, seed=int(meta.get("seed", 0)))
+    diverged = []
+    recorded = meta.get("fingerprint")
+    if recorded is not None and recorded != outcome.fingerprint:
+        diverged.append(
+            f"REPLAY DIVERGED: fingerprint {outcome.fingerprint} != "
+            f"recorded {recorded}"
+        )
+    if meta.get("violation") and outcome.violation is None:
+        diverged.append("REPLAY DID NOT REPRODUCE the recorded violation")
+    return scenario, outcome, diverged
 
 
 def minimize(

@@ -25,9 +25,10 @@ What the tables show (see ``docs/MEMORY.md`` for the derivations):
   unreachable everywhere.
 
 Litmus scenarios register in :data:`repro.explore.scenarios.SCENARIOS`
-as ``litmus-<test>-<model>``, which is what makes a saved witness trace
-replayable through ``python -m repro explore --replay`` (and ``python
--m repro litmus --replay``).
+as ``litmus-<test>-<model>`` and search through the shared loop
+(:func:`repro.explore.driver.search`), so a saved witness trace replays
+through the one replay path (``python -m repro explore --replay`` or
+``python -m repro litmus --replay``, which also checks the registers).
 """
 
 from __future__ import annotations
@@ -346,33 +347,25 @@ def enumerate_litmus(
     an outcome outside it is a soundness violation regardless of
     strategy.
     """
-    from repro.explore.driver import run_schedule
+    from repro.explore.driver import search
     from repro.explore.strategies import make_strategy
 
     scenario, state = litmus_scenario(test_name, model)
-    search = make_strategy(strategy, seed=seed)
+    explorer = make_strategy(strategy, seed=seed)
     result = LitmusResult(
-        test=test_name, model=model, strategy=search.name, budget=budget
+        test=test_name, model=model, strategy=explorer.name, budget=budget
     )
-    for index in range(budget):
-        if search.exhausted:
-            result.exhausted = True
-            break
-        controller = search.controller(index)
-        outcome = run_schedule(
-            scenario, controller, seed=search.kernel_seed(index, seed), index=index
-        )
-        search.observe(outcome.trace)
+    for outcome in search(scenario, explorer, budget=budget, seed=seed):
         result.runs += 1
         registers = state.get("outcome")
         if outcome.harness_failures:
             result.harness_failures.append(
-                {"index": index, "failures": list(outcome.harness_failures)}
+                {"index": outcome.index,
+                 "failures": list(outcome.harness_failures)}
             )
         if outcome.violation is not None:
             result.forbidden.append((registers, outcome.violation))
         elif registers is not None and registers not in result.witnesses:
             result.witnesses[registers] = outcome
-    else:
-        result.exhausted = bool(search.exhausted)
+    result.exhausted = explorer.exhausted
     return result

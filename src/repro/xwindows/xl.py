@@ -77,12 +77,15 @@ class XlClient:
         has left sitting for a full period — "a periodic timeout by a
         maintenance thread ensure[s] that output gets flushed in a
         timely manner".  It must not race the buffer for fresh bursts,
-        so it only acts on items it already saw last period."""
-        seen: set[int] = set()
+        so it only acts on items it already saw last period.  Last
+        period's items stay referenced here, so a fresh request can never
+        inherit the address of one the buffer thread has since freed."""
+        seen: dict[int, Any] = {}
         while True:
             yield Pause(self.maintenance_period)
-            stale = [item for item in self.out_queue.items if id(item) in seen]
-            seen = {id(item) for item in self.out_queue.items}
+            items = self.out_queue.items
+            stale = [item for item in items if seen.get(id(item)) is item]
+            seen = {id(item): item for item in items}
             if stale:
                 pending = yield from self.out_queue.get_all()
                 if pending:

@@ -250,7 +250,7 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert "fault.drop_notify" in out
         assert "violation: lost wakeup" in out
-        assert "replay ok (trace hash verified)" in out
+        assert "replay ok (fingerprint verified)" in out
 
     def test_explore_replay_of_a_diverged_trace_exits_nonzero(
         self, capsys, tmp_path
@@ -266,12 +266,73 @@ class TestExploreCli:
         capsys.readouterr()
         trace_path = tmp_path / "explore-stolen-notify.trace.json"
         data = json.loads(trace_path.read_text())
-        data["meta"]["trace_hash"] = "0" * 64  # corrupt the recorded hash
+        # corrupt the recorded trace hash
+        data["meta"]["fingerprint"]["trace"] = "0" * 64
         trace_path.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as excinfo:
             main(["explore", "--replay", str(trace_path)])
         assert excinfo.value.code == 1
         assert "REPLAY DIVERGED" in capsys.readouterr().out
+
+    def test_replay_with_a_tampered_stats_hash_exits_nonzero(
+        self, capsys, tmp_path
+    ):
+        # Tracing is off in harness runs, so the trace hash is the same
+        # for every run; the stats hash is what tells two runs apart.
+        import json
+
+        output = tmp_path / "explore.json"
+        assert main([
+            "explore", "--scenario", "abba", "--budget", "5",
+            "--output", str(output),
+        ]) == 0
+        capsys.readouterr()
+        trace_path = tmp_path / "explore-abba.trace.json"
+        data = json.loads(trace_path.read_text())
+        data["meta"]["fingerprint"]["stats"] = "0" * 64
+        trace_path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--replay", str(trace_path)])
+        assert excinfo.value.code == 1
+        assert "REPLAY DIVERGED" in capsys.readouterr().out
+
+    def test_litmus_writes_the_report_and_the_witness(self, capsys, tmp_path):
+        import json
+
+        traces = tmp_path / "traces"
+        report = tmp_path / "litmus.json"
+        assert main([
+            "litmus", "--test", "sb", "--model", "tso",
+            "--trace-dir", str(traces), "--output", str(report),
+        ]) == 0
+        assert "all reachable sets match the pins" in capsys.readouterr().out
+        (pair,) = json.loads(report.read_text())["pairs"]
+        assert pair["ok"] is True and pair["exhausted"] is True
+        witness = traces / "litmus-sb-tso-00.trace.json"
+        assert pair["witness_paths"] == [str(witness)]
+        meta = json.loads(witness.read_text())["meta"]
+        assert meta["scenario"] == "litmus-sb-tso"
+        assert meta["outcome"] == [0, 0]
+        assert set(meta["fingerprint"]) == {"trace", "stats", "events"}
+
+    def test_litmus_replay_of_a_witness(self, capsys, tmp_path):
+        traces = tmp_path / "traces"
+        assert main([
+            "litmus", "--test", "sb", "--model", "tso",
+            "--trace-dir", str(traces),
+        ]) == 0
+        capsys.readouterr()
+        witness = traces / "litmus-sb-tso-00.trace.json"
+        assert main(["litmus", "--replay", str(witness)]) == 0
+        out = capsys.readouterr().out
+        assert "litmus sb/tso outcome: (0, 0)" in out
+        assert "replay ok (fingerprint verified)" in out
+
+    def test_litmus_rejects_an_unknown_test(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["litmus", "--test", "no-such-test"])
+        assert excinfo.value.code == 1
+        assert "unknown test/model selector" in capsys.readouterr().err
 
     def test_explore_exits_nonzero_when_the_bug_is_not_found(self, capsys):
         # Budget 0 runs no schedules, so a directed scenario cannot meet
@@ -310,6 +371,7 @@ class TestExploreCli:
         self, capsys, tmp_path, monkeypatch
     ):
         import json
+        from dataclasses import replace
 
         import repro.analysis.chaos as chaos
 
@@ -318,10 +380,8 @@ class TestExploreCli:
         wedge = chaos.DIRECTED_SCENARIOS[0]
         monkeypatch.setattr(
             chaos, "DIRECTED_SCENARIOS",
-            (chaos.ChaosScenario(
-                wedge.name, wedge.build, expect_deadlock=wedge.expect_deadlock,
-                plan=wedge.plan,
-                post_check=lambda kernel: ["forced failure for the test"],
+            (replace(
+                wedge, check=lambda kernel: "forced failure for the test"
             ),),
         )
         monkeypatch.setattr(chaos, "SWEEP_SCENARIOS", ())

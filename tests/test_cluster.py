@@ -317,7 +317,7 @@ class TestClusterWorld:
         from repro.analysis.faults import FaultPlan
 
         scenario = next(s for s in DIRECTED_SCENARIOS
-                        if s.name == "cluster-wedged-shard")
+                        if s.name == "chaos-cluster-wedged-shard")
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.ok, record.failures
         assert record.deadlocks == 0

@@ -263,7 +263,7 @@ class TestDirectedFailover:
         from repro.analysis.chaos import DIRECTED_SCENARIOS, run_one
 
         scenario = next(s for s in DIRECTED_SCENARIOS
-                        if s.name == "cluster-kill-primary")
+                        if s.name == "chaos-cluster-kill-primary")
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.ok, record.failures
         assert record.deadlocks == 0
@@ -274,7 +274,7 @@ class TestDirectedFailover:
         from repro.analysis.chaos import DIRECTED_SCENARIOS, run_one
 
         scenario = next(s for s in DIRECTED_SCENARIOS
-                        if s.name == "cluster-partition-balancer")
+                        if s.name == "chaos-cluster-partition-balancer")
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.ok, record.failures
         assert record.deadlocks == 0

@@ -18,6 +18,7 @@ from repro.explore import (
     SCENARIOS,
     DecisionTrace,
     ExhaustivePrefixStrategy,
+    ExploreScenario,
     ScheduleController,
     TAIL_BASELINE,
     TAIL_DEFAULT,
@@ -26,6 +27,7 @@ from repro.explore import (
     make_strategy,
     minimize,
     replay,
+    replay_trace,
     resolve,
     run_schedule,
 )
@@ -323,6 +325,19 @@ class TestStrategies:
             seen.append(outcome.trace.choices)
         assert seen == [[0], [1]]
 
+    def test_budget_equal_to_the_tree_reports_exhausted(self):
+        # The sb/sc tree has exactly 20 schedules: a search whose budget
+        # runs out on the last of them has still visited the whole tree,
+        # and explore and enumerate_litmus agree on it.
+        from repro.memmodel.litmus import enumerate_litmus
+
+        result = explore(
+            SCENARIOS["litmus-sb-sc"], make_strategy("exhaustive"), budget=20
+        )
+        assert result.schedules_run == 20
+        assert result.exhausted is True
+        assert enumerate_litmus("sb", "sc", budget=20).exhausted is True
+
     def test_seed_sweep_varies_the_kernel_seed(self):
         strategy = make_strategy("seeds")
         assert strategy.kernel_seed(0, 7) == 7
@@ -402,6 +417,25 @@ class TestEarlyTermination:
         shutdown()
 
 
+    def test_only_scenarios_expecting_a_violation_stop_early(self):
+        # The same ABBA wedge: the directed explore scenario stops once
+        # the watchdog confirms the cycle; the chaos scenario, which
+        # expects no violation, runs to its horizon.
+        from repro.analysis.chaos import CHAOS_RUN
+
+        directed = run_schedule(
+            SCENARIOS["abba"], ScheduleController(tail=TAIL_DEFAULT)
+        )
+        assert directed.violation is not None
+        assert directed.stopped_at < SCENARIOS["abba"].horizon
+        chaos = run_schedule(
+            SCENARIOS["chaos-abba-deadlock"],
+            ScheduleController(tail=TAIL_DEFAULT),
+        )
+        assert chaos.failures == []
+        assert chaos.stopped_at == CHAOS_RUN
+
+
 class TestMinimization:
     def test_minimize_rejects_a_trace_that_does_not_replay(self):
         scenario = SCENARIOS["producer-consumer"]
@@ -422,12 +456,14 @@ class TestMinimization:
 
 class TestChaosIntegration:
     def test_failing_chaos_run_saves_a_replayable_trace(self, tmp_path):
-        from repro.analysis.chaos import ChaosScenario, _abba_deadlock, run_one
+        from repro.analysis.chaos import CHAOS_RUN, run_one
         from repro.analysis.faults import FaultPlan
+        from repro.explore.scenarios import _abba_deadlock
 
-        scenario = ChaosScenario(
-            "abba-directed", _abba_deadlock, expect_deadlock=True,
-            post_check=lambda kernel: ["synthetic invariant failure"],
+        scenario = ExploreScenario(
+            name="abba-directed", build=_abba_deadlock, horizon=CHAOS_RUN,
+            plan=None, expect_violation=False,
+            check=lambda kernel: "synthetic invariant failure",
         )
         record = run_one(
             scenario, FaultPlan(), 0, trace_dir=str(tmp_path)
@@ -438,12 +474,36 @@ class TestChaosIntegration:
         assert trace.meta["scenario"] == "abba-directed"
         assert "synthetic invariant failure" in trace.meta["failures"]
 
+    def test_failing_directed_chaos_run_replays_to_its_horizon(
+        self, tmp_path, capsys
+    ):
+        from dataclasses import replace
+
+        from repro.analysis.chaos import CHAOS_RUN, run_one
+        from repro.cli import main
+
+        abba = SCENARIOS["chaos-abba-deadlock"]
+        record = run_one(
+            replace(abba, check=lambda kernel: "forced failure"),
+            abba.plan, 0, trace_dir=str(tmp_path),
+        )
+        assert record.failures == ["forced failure"]
+        assert record.deadlocks >= 1
+        trace = DecisionTrace.load(record.trace_path)
+        assert trace.meta["scenario"] == "chaos-abba-deadlock"
+        _scenario, outcome, diverged = replay_trace(trace)
+        assert diverged == []
+        assert outcome.stopped_at == CHAOS_RUN
+        assert outcome.fingerprint == trace.meta["fingerprint"]
+        assert main(["explore", "--replay", record.trace_path]) == 0
+        assert "replay ok (fingerprint verified)" in capsys.readouterr().out
+
     def test_passing_chaos_run_saves_nothing(self, tmp_path):
         from repro.analysis.chaos import SWEEP_SCENARIOS, run_one
         from repro.analysis.faults import FaultPlan
 
         scenario = next(
-            s for s in SWEEP_SCENARIOS if s.name == "producer-consumer"
+            s for s in SWEEP_SCENARIOS if s.name == "chaos-producer-consumer"
         )
         record = run_one(scenario, FaultPlan(), 0, trace_dir=str(tmp_path))
         assert record.ok

@@ -190,21 +190,18 @@ class TestLitmusPins:
 class TestWitnessReplay:
     def test_sb_tso_witness_replays_byte_identical(self, tmp_path):
         from repro.explore import DecisionTrace, replay
+        from repro.explore.driver import save_trace
 
         result = enumerate_litmus("sb", "tso", budget=3000)
         witness = result.witnesses[(0, 0)]
-        witness.trace.meta.update(
-            scenario="litmus-sb-tso", test="sb", model="tso",
-            outcome=[0, 0], seed=witness.seed,
-            trace_hash=witness.fingerprint["trace"],
-        )
         path = str(tmp_path / "witness.trace.json")
-        witness.trace.save(path)
+        save_trace("litmus-sb-tso", witness, path,
+                   test="sb", model="tso", outcome=[0, 0])
         loaded = DecisionTrace.load(path)
         scenario, state = litmus_scenario("sb", "tso")
         replayed = replay(scenario, loaded.choices,
                           seed=int(loaded.meta["seed"]))
-        assert replayed.fingerprint["trace"] == loaded.meta["trace_hash"]
+        assert replayed.fingerprint == loaded.meta["fingerprint"]
         assert tuple(state["outcome"]) == (0, 0)
         # The relaxed outcome needs held buffers, so the trace must
         # contain real mem.drain decisions.

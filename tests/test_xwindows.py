@@ -241,6 +241,35 @@ class TestXl:
         assert server.requests_received == 1
         kernel.shutdown()
 
+    def test_maintenance_never_flushes_a_fresh_request(self):
+        # Each request is drained (and freed) just before the next
+        # maintenance check, and a fresh one is queued in its place.
+        # The allocator hands the fresh request the freed one's
+        # address; the maintenance thread must still see it as new.
+        kernel = make_kernel()
+        connection = kernel.channel("x")
+        server = XServer(events=connection)
+        client = XlClient(server, connection, maintenance_period=msec(100))
+        kernel.fork_root(client.maintenance_proc, name="maintenance", priority=3)
+
+        class Request:
+            __slots__ = ("n",)
+
+            def __init__(self, n):
+                self.n = n
+
+        def painter():
+            for n in range(10):
+                yield from client.paint(Request(n))
+                yield p.Pause(msec(100))
+                yield from client.out_queue.get_all()  # the buffer's drain
+
+        kernel.fork_root(painter, priority=4)
+        kernel.run_for(sec(1))
+        assert client.maintenance_flushes == 0
+        assert server.requests_received == 0
+        kernel.shutdown()
+
 
 class TestQuerySemantics:
     """Why the flush-before-read rule exists: queries trigger replies."""
