@@ -42,8 +42,18 @@ class EventHeap:
         return token
 
     def cancel(self, token: int) -> None:
-        """Cancel a scheduled event.  Cancelling twice is harmless."""
-        self._cancelled.add(token)
+        """Cancel a scheduled event.
+
+        Cancelling twice, or cancelling a token that already fired or was
+        never issued, is harmless: only a pending token is recorded, so
+        ``len()`` stays exact and ``next_time`` keeps its fast path.  The
+        pending check scans the heap, which keeps ``push`` and
+        ``pop_due`` free of any bookkeeping; the kernel never cancels.
+        """
+        if token not in self._cancelled and any(
+            entry[1] == token for entry in self._heap
+        ):
+            self._cancelled.add(token)
 
     def next_time(self) -> int | None:
         """The time of the earliest pending event, or None if empty."""

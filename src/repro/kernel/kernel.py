@@ -328,25 +328,82 @@ class Kernel:
         """
         if t_end < self.now:
             raise ValueError(f"cannot run backwards ({t_end} < {self.now})")
+        events = self.events
+        scheduler = self.scheduler
+        cpus = scheduler.cpus
+        quantum = self.config.quantum
+        preemptive = scheduler.policy != "fair_share"
         stopped = False
         while True:
-            self._dispatch_idle_cpus()
-            t_next = self._next_time()
+            # One sweep over the CPUs finds the earliest burst end, the
+            # CPUs due then, and whether an idle CPU has anything to take
+            # (a ready thread, or a donation that may be spent).  Only
+            # then does the dispatch run, and the sweep repeats after it.
+            while True:
+                t_busy = due = None
+                running = dispatch = False
+                for cpu in cpus:
+                    if cpu.current is None:
+                        if scheduler.best_ready or cpu.donee is not None:
+                            dispatch = True
+                        continue
+                    running = True
+                    busy_until = cpu.busy_until
+                    if busy_until is None:
+                        continue
+                    if t_busy is None or busy_until < t_busy:
+                        t_busy = busy_until
+                        due = [cpu]
+                    elif busy_until == t_busy:
+                        due.append(cpu)
+                if not dispatch:
+                    break
+                self._dispatch_idle_cpus()
+            t_next = events.next_time()
+            if t_busy is not None and (t_next is None or t_busy < t_next):
+                t_next = t_busy
+            # Ticks matter only when a timeout can fire, when rotation or
+            # donation expiry can change a decision (a lone runner is
+            # never rotated), or when tick-driven faults sample the world
+            # (a FORK feigned-failed into the wait queue is released at
+            # the next tick, so fault injection ticks through idle spells).
+            if (
+                self._timed
+                or (running and scheduler.best_ready)
+                or (
+                    self.faults is not None
+                    and (self.faults.plan.wants_ticks or self._fork_waiters)
+                )
+            ):
+                tick = (self.now // quantum + 1) * quantum
+                if t_next is None or tick < t_next:
+                    t_next = tick
             if t_next is None:
                 if raise_on_deadlock and self._is_deadlocked():
                     raise self._make_deadlock()
                 break
             if t_next > t_end:
                 break
-            self.now = t_next
-            self._complete_due_bursts()
-            if self._on_tick_boundary():
+            self.now = now = t_next
+            if t_busy == now:
+                # Due bursts complete in CPU-index order.
+                for cpu in due:
+                    thread = cpu.current
+                    thread.pending_compute = 0
+                    cpu.busy_until = None
+                    cpu.burst_start = None
+                    self._continue_thread(cpu, thread)
+            if now % quantum == 0 and now > 0:
                 self._on_tick()
-            for action in self.events.pop_due(self.now):
+            for action in events.pop_due(now):
                 action(self)
             if self.watchdog is not None:
-                self.watchdog.maybe_check(self.now)
-            self._check_preemption()
+                self.watchdog.maybe_check(now)
+            if preemptive and scheduler.best_ready:
+                for cpu in cpus:
+                    thread = cpu.current
+                    if thread is not None and scheduler.best_ready > thread.priority:
+                        self._preempt(cpu, thread)
             if stop_when is not None and stop_when(self):
                 stopped = True
                 break
@@ -392,44 +449,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Clock and dispatch machinery
     # ------------------------------------------------------------------
-
-    def _next_time(self) -> int | None:
-        """The next instant at which anything can happen.
-
-        Runs once per kernel-loop iteration, so it tracks the minimum
-        directly instead of building a candidate list each time.
-        """
-        t_next = self.events.next_time()
-        for cpu in self.scheduler.cpus:
-            busy_until = cpu.busy_until
-            if busy_until is not None and (t_next is None or busy_until < t_next):
-                t_next = busy_until
-        if self._tick_needed():
-            quantum = self.config.quantum
-            tick = (self.now // quantum + 1) * quantum
-            if t_next is None or tick < t_next:
-                t_next = tick
-        return t_next
-
-    def _tick_needed(self) -> bool:
-        """Ticks matter only when a timeout can fire or rotation/donation
-        expiry can change a scheduling decision.  Skipping irrelevant
-        ticks is a pure optimisation: a lone runner is never rotated."""
-        if self._timed:
-            return True
-        # Tick-driven faults sample the world every quantum, and a FORK
-        # feigned-failed into the wait queue is released at the next tick,
-        # so fault injection keeps the clock ticking through idle spells.
-        if self.faults is not None and (
-            self.faults.plan.wants_ticks or self._fork_waiters
-        ):
-            return True
-        if self.scheduler.ready_count() == 0:
-            return False
-        return any(cpu.current is not None for cpu in self.scheduler.cpus)
-
-    def _on_tick_boundary(self) -> bool:
-        return self.now > 0 and self.now % self.config.quantum == 0
 
     def _on_tick(self) -> None:
         """Scheduler tick: expire donations, fire timeouts, round-robin."""
@@ -551,15 +570,6 @@ class Kernel:
             return
         self._continue_thread(cpu, thread)
 
-    def _complete_due_bursts(self) -> None:
-        for cpu in self.scheduler.cpus:
-            if cpu.current is not None and cpu.busy_until == self.now:
-                thread = cpu.current
-                thread.pending_compute = 0
-                cpu.busy_until = None
-                cpu.burst_start = None
-                self._continue_thread(cpu, thread)
-
     def _continue_thread(self, cpu: Cpu, thread: SimThread) -> None:
         """Advance a thread that has finished burning CPU."""
         if thread.resume_action is not None:
@@ -607,8 +617,9 @@ class Kernel:
     def _resume(self, cpu: Cpu, thread: SimThread) -> None:
         """Drive the generator through zero-time traps until it burns CPU,
         blocks, yields, or finishes."""
+        scheduler = self.scheduler
         while True:
-            if self._maybe_preempt(cpu, thread):
+            if scheduler.best_ready > thread.priority and self._preempt(cpu, thread):
                 return
             try:
                 if thread.pending_throw is not None:
@@ -636,53 +647,35 @@ class Kernel:
             if outcome is _Outcome.SUSPEND:
                 return
             if outcome is _Outcome.BURN:
-                if self._maybe_preempt(cpu, thread):
+                if scheduler.best_ready > thread.priority and self._preempt(
+                    cpu, thread
+                ):
                     return
                 cpu.burst_start = self.now
                 cpu.busy_until = self.now + thread.pending_compute
                 return
             # CONTINUE: handle the next trap at the same instant.
 
-    def _maybe_preempt(self, cpu: Cpu, thread: SimThread) -> bool:
-        """Strict-priority preemption, unless a donation pins the thread.
+    def _preempt(self, cpu: Cpu, thread: SimThread) -> bool:
+        """Preempt ``thread`` for a ready thread that outranks it.
 
-        Called at the top of every ``_resume`` iteration — i.e. once per
-        trap — so the no-preemption fast path is a single comparison
-        against the scheduler's cached best-ready priority.
+        Callers have already seen ``scheduler.best_ready`` above the
+        thread's priority, so the per-trap and per-instant fast paths
+        stay a single integer comparison.  Strict priority only, and not
+        while a donation pins the thread to this CPU.  A burst in
+        progress is cut short and its unburned part kept.
         """
-        scheduler = self.scheduler
-        if scheduler.best_ready <= thread.priority:
+        if cpu.donee is thread or self.scheduler.policy == "fair_share":
             return False
-        if cpu.donee is thread or scheduler.policy == "fair_share":
-            return False
-        self.stats.preemptions += 1
-        thread.stats.preemptions += 1
-        self._off_cpu(cpu, thread)
-        # Preempted threads keep their round-robin place: queue front.
-        scheduler.make_ready(thread, front=True)
-        if self._trace_switch:
-            self.tracer.record(self.now, instr.CAT_SWITCH, "preempt", thread.name)
-        return True
-
-    def _check_preemption(self) -> None:
-        for cpu in self.scheduler.cpus:
-            thread = cpu.current
-            if thread is None:
-                continue
-            self._interrupt_burst_if_preempting(cpu, thread)
-
-    def _interrupt_burst_if_preempting(self, cpu: Cpu, thread: SimThread) -> None:
-        if cpu.donee is thread:
-            return
-        if not self.scheduler.would_preempt(thread.priority):
-            return
         self._interrupt_burst(cpu)
         self.stats.preemptions += 1
         thread.stats.preemptions += 1
         self._off_cpu(cpu, thread)
+        # Preempted threads keep their round-robin place: queue front.
         self.scheduler.make_ready(thread, front=True)
         if self._trace_switch:
             self.tracer.record(self.now, instr.CAT_SWITCH, "preempt", thread.name)
+        return True
 
     def _interrupt_burst(self, cpu: Cpu) -> None:
         """Account a partially-completed compute burst."""

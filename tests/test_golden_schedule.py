@@ -1,7 +1,7 @@
 """Golden-schedule determinism guard.
 
 The kernel hot paths are optimisation targets (O(1) scheduler queries,
-allocation-free ``_next_time``, short-circuited tracing), but the contract
+the single-pass run loop, short-circuited tracing), but the contract
 is that **no optimisation may change a single scheduling decision**.  This
 module enforces that contract: each scenario runs a deterministic
 simulation with full tracing on, fingerprints the entire event stream plus

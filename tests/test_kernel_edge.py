@@ -196,6 +196,165 @@ class TestDonationCorners:
         kernel.shutdown()
 
 
+class TestRunLoopSkipPaths:
+    """The run loop skips the dispatch and the preemption check when
+    they cannot change anything; these pin the cases where they must
+    still run."""
+
+    def test_event_wake_preempts_burst_on_second_cpu(self):
+        kernel = make_kernel(ncpus=2)
+        channel = kernel.channel("wake")
+        done = {}
+
+        def grinder(tag):
+            yield p.Compute(msec(40))
+            done[tag] = yield p.GetTime()
+
+        def urgent():
+            yield p.Channelreceive(channel)
+            done["urgent"] = yield p.GetTime()
+            yield p.Compute(msec(5))
+
+        high = kernel.fork_root(grinder, ("high",), priority=5)
+        waker = kernel.fork_root(urgent, priority=4)
+        low = kernel.fork_root(grinder, ("low",), priority=3)
+        kernel.post_at(msec(10), lambda k: channel.post("go"))
+        kernel.run_for(sec(1))
+        # Priority 4 outranks only the priority-3 burst on CPU 1.
+        assert done == {"urgent": msec(10), "high": msec(40), "low": msec(45)}
+        assert high.stats.preemptions == 0
+        assert waker.stats.preemptions == 0
+        assert low.stats.preemptions == 1
+        assert kernel.stats.preemptions == 1
+        # The partial burst is kept: 10 ms before, 30 ms after.
+        assert low.stats.run_intervals == [msec(10), msec(30)]
+        kernel.shutdown()
+
+    def test_donated_cpu_is_not_preempted(self):
+        kernel = make_kernel()
+        log = []
+
+        def donee():
+            log.append(("donee", (yield p.GetTime())))
+            yield p.Compute(msec(20))
+            log.append(("donee-done", (yield p.GetTime())))
+
+        def director():
+            target = yield p.Fork(donee, priority=1, detached=True)
+            yield p.DirectedYield(target)
+            log.append(("director", (yield p.GetTime())))
+
+        def middle():
+            log.append(("middle", (yield p.GetTime())))
+
+        kernel.fork_root(director, priority=6)
+        # An instant mid-burst at which a ready thread outranks the donee.
+        kernel.post_at(msec(5), lambda k: k.fork_root(middle, priority=4))
+        kernel.run_for(sec(1))
+        assert log == [
+            ("donee", 0),
+            ("donee-done", msec(20)),
+            ("director", msec(20)),
+            ("middle", msec(20)),
+        ]
+        assert kernel.stats.preemptions == 0
+        kernel.shutdown()
+
+    def test_fair_share_never_preempts_mid_burst(self):
+        kernel = Kernel(
+            KernelConfig(
+                scheduler_policy="fair_share", seed=3, switch_cost=0,
+                monitor_overhead=0,
+            )
+        )
+        log = []
+
+        def low():
+            yield p.Compute(msec(30))
+            log.append(("low", (yield p.GetTime())))
+
+        def high():
+            log.append(("high", (yield p.GetTime())))
+
+        worker = kernel.fork_root(low, priority=1)
+        kernel.post_at(msec(10), lambda k: k.fork_root(high, priority=7))
+        kernel.run_for(sec(1))
+        assert log == [("low", msec(30)), ("high", msec(30))]
+        assert worker.stats.run_intervals == [msec(30)]
+        assert kernel.stats.preemptions == 0
+        kernel.shutdown()
+
+    def test_simultaneous_bursts_complete_in_cpu_order(self):
+        kernel = make_kernel(ncpus=2)
+        order = []
+
+        def split():  # CPU 0: its second burst is set later, at 4 ms
+            yield p.Compute(msec(4))
+            yield p.Compute(msec(6))
+            order.append(("cpu0", (yield p.GetTime())))
+
+        def whole():  # CPU 1: one burst, set at 0
+            yield p.Compute(msec(10))
+            order.append(("cpu1", (yield p.GetTime())))
+
+        kernel.fork_root(split)
+        kernel.fork_root(whole)
+        kernel.run_for(sec(1))
+        assert order == [("cpu0", msec(10)), ("cpu1", msec(10))]
+        kernel.shutdown()
+
+    def test_spent_donation_cleared_on_idle_cpu_while_others_busy(self):
+        kernel = make_kernel(ncpus=3)
+        channel = kernel.channel("park")
+        log = []
+
+        def hog():  # keeps CPU 0 busy throughout
+            yield p.Compute(msec(30))
+
+        def donee():  # runs on CPU 1 by donation, then parks
+            yield p.Compute(msec(5))
+            yield p.Channelreceive(channel)
+            log.append(("donee", (yield p.GetTime())))
+
+        def director():  # donates CPU 1, then grinds on CPU 2
+            target = yield p.Fork(donee, priority=1, detached=True)
+            yield p.DirectedYield(target)
+            yield p.Compute(msec(30))
+
+        def rival():
+            log.append(("rival", (yield p.GetTime())))
+            yield p.Compute(msec(2))
+
+        def wake(k):
+            channel.post("again")
+            k.fork_root(rival, priority=4)
+
+        kernel.fork_root(hog, priority=7)
+        kernel.fork_root(director, priority=6)
+        kernel.post_at(msec(8), wake)
+        kernel.run_for(sec(1))
+        # The donee parked at 5 ms with nothing ready, which spent the
+        # donation; once both wake, CPU 1 follows strict priority again.
+        assert log == [("rival", msec(8)), ("donee", msec(10))]
+        kernel.shutdown()
+
+    def test_livelock_guard_fires_beside_a_busy_cpu(self):
+        kernel = make_kernel(ncpus=2, switch_cost=0)
+
+        def grinder():
+            yield p.Compute(msec(10))
+
+        def spinner():
+            while True:
+                yield p.Yield()
+
+        kernel.fork_root(grinder)
+        kernel.fork_root(spinner)
+        with pytest.raises(KernelUsageError, match="livelock"):
+            kernel.run_for(msec(1))
+        kernel.shutdown()
+
+
 class TestForkWaitOrdering:
     def test_blocked_forks_complete_fifo(self):
         kernel = make_kernel(max_threads=3, fork_failure="wait")

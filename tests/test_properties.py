@@ -264,6 +264,25 @@ class TestEventHeapProperties:
             action(None)
         assert len(fired) == len(times) - 1
 
+    def test_cancel_of_fired_or_unknown_token_is_harmless(self):
+        heap = EventHeap()
+        fired = []
+        token = heap.push(5, lambda k: fired.append(5))
+        for action in heap.pop_due(5):
+            action(None)
+        heap.cancel(token)  # already fired
+        heap.cancel(token + 100)  # never issued
+        assert heap.pop_due(9) == []
+        assert len(heap) == 0
+        assert heap.next_time() is None
+        later = heap.push(7, lambda k: fired.append(7))
+        assert len(heap) == 1
+        assert heap.next_time() == 7
+        heap.cancel(later)
+        assert len(heap) == 0
+        assert heap.next_time() is None
+        assert fired == [5]
+
 
 class TestRngProperties:
     @FAST
