@@ -25,6 +25,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.explore import SCENARIOS as EXPLORE_SCENARIOS, make_strategy, search
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
@@ -200,6 +201,28 @@ def scenario_timer_wheel() -> int:
     return dispatches
 
 
+#: Every schedule of the SB litmus test under tso (the exhaustive tree).
+SB_TSO_SCHEDULES = 240
+
+
+def scenario_schedule_overhead() -> int:
+    """Fixed cost of one schedule: build a tiny kernel, answer its
+    decisions, run the invariant battery, snapshot its fingerprint and
+    shut it down, over the whole exhaustive SB/tso tree.  Litmus runs
+    never reach an instant, so this is the per-schedule cost of every
+    ``chaos``, ``explore`` and ``litmus`` search."""
+    strategy = make_strategy("exhaustive")
+    schedules = sum(
+        1
+        for _ in search(
+            EXPLORE_SCENARIOS["litmus-sb-tso"], strategy,
+            budget=SB_TSO_SCHEDULES,
+        )
+    )
+    assert schedules == SB_TSO_SCHEDULES and strategy.exhausted
+    return schedules
+
+
 SCENARIOS = {
     "monitor_traffic": scenario_monitor_traffic,
     "monitor_traffic_tso": scenario_monitor_traffic_tso,
@@ -209,6 +232,7 @@ SCENARIOS = {
     "timed_waits": scenario_timed_waits,
     "fork_join_churn": scenario_fork_join_churn,
     "timer_wheel": scenario_timer_wheel,
+    "schedule_overhead": scenario_schedule_overhead,
 }
 
 
@@ -242,6 +266,10 @@ def test_perf_fork_join_churn(benchmark):
 
 def test_perf_timer_wheel(benchmark):
     assert benchmark(scenario_timer_wheel) >= 2_500
+
+
+def test_perf_schedule_overhead(benchmark):
+    assert benchmark(scenario_schedule_overhead) == SB_TSO_SCHEDULES
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +348,9 @@ def main(argv: list[str]) -> int:
                 "--record-baseline before the hot-path fast paths landed)"
             ),
             "scenarios": baseline,
+            # Scenarios added after the baseline was recorded have no
+            # pre-optimisation reference and no improvement ratio.
+            "not_recorded": sorted(set(current) - set(baseline)),
         },
         "current": {"scenarios": current},
         "improvement_vs_baseline": improvement,

@@ -67,12 +67,22 @@ def fingerprint(kernel: Kernel) -> dict:
     session.  Fingerprints therefore use set *sizes* and names, never
     uids.
     """
+    return fingerprint_digest(fingerprint_state(kernel))
+
+
+def fingerprint_state(kernel: Kernel) -> dict:
+    """The part of :func:`fingerprint` that must read the live kernel.
+
+    Hashes the trace stream and snapshots the statistics into a
+    canonical structure that shares nothing mutable with the kernel, so
+    the kernel may be shut down (or run on) before
+    :func:`fingerprint_digest` encodes it.  The run harness digests
+    only the schedules whose fingerprint someone reads.
+    """
     trace_lines = "\n".join(
         f"{e.time}|{e.category}|{e.kind}|{e.thread}|{e.detail}"
         for e in kernel.tracer.events
     )
-    trace_hash = hashlib.sha256(trace_lines.encode()).hexdigest()
-
     stats = kernel.stats
     scalars = {
         name: value
@@ -83,14 +93,14 @@ def fingerprint(kernel: Kernel) -> dict:
         "scalars": dict(sorted(scalars.items())),
         "monitors_used": len(stats.monitors_used),
         "cvs_used": len(stats.cvs_used),
-        "exec_intervals": stats.exec_intervals,
+        "exec_intervals": list(stats.exec_intervals),
         "cpu_by_priority": sorted(stats.cpu_by_priority.items()),
         "thread_log": [
             (r.tid, r.name, r.parent_tid, r.generation, r.priority,
              r.created_at, r.role)
             for r in stats.thread_log
         ],
-        "lifetimes": stats.lifetimes,
+        "lifetimes": list(stats.lifetimes),
         "per_thread": [
             (t.tid, t.name, t.priority, t.state.value,
              t.stats.cpu_time, t.stats.dispatches, t.stats.preemptions,
@@ -101,13 +111,22 @@ def fingerprint(kernel: Kernel) -> dict:
         ],
         "now": kernel.now,
     }
+    return {
+        "trace": hashlib.sha256(trace_lines.encode()).hexdigest(),
+        "canonical": canonical,
+        "events": len(kernel.tracer.events),
+    }
+
+
+def fingerprint_digest(state: dict) -> dict:
+    """Encode a :func:`fingerprint_state` snapshot into the fingerprint."""
     stats_hash = hashlib.sha256(
-        json.dumps(canonical, sort_keys=True, default=str).encode()
+        json.dumps(state["canonical"], sort_keys=True, default=str).encode()
     ).hexdigest()
     return {
-        "trace": trace_hash,
+        "trace": state["trace"],
         "stats": stats_hash,
-        "events": len(kernel.tracer.events),
+        "events": state["events"],
     }
 
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
-from repro.analysis.golden import fingerprint
+from repro.analysis.golden import fingerprint_digest, fingerprint_state
 from repro.analysis.watchdog import waits_on
 from repro.explore.scenarios import ExploreScenario, partial_deadlock_missing
 from repro.explore.strategies import Strategy
@@ -190,10 +191,17 @@ class ScheduleOutcome:
     violation: "str | None" = None
     #: Generic invariant-harness failures (never acceptable).
     harness_failures: list = field(default_factory=list)
-    #: Full-run fingerprint (trace + stats hashes) for replay checks.
-    fingerprint: dict = field(default_factory=dict)
+    #: :func:`fingerprint_state` of the kernel, taken before shutdown.
+    fingerprint_state: "dict | None" = None
     #: Clock value when the run ended (< horizon means early stop).
     stopped_at: int = 0
+
+    @cached_property
+    def fingerprint(self) -> dict:
+        """Full-run fingerprint (trace + stats hashes) for replay checks,
+        digested on first read: most schedules are never saved or
+        replayed."""
+        return fingerprint_digest(self.fingerprint_state)
 
     @property
     def failed(self) -> bool:
@@ -246,7 +254,7 @@ def run_schedule(
             outcome.harness_failures.extend(
                 f"data race: {race}" for race in kernel.race_detector.races
             )
-        outcome.fingerprint = fingerprint(kernel)
+        outcome.fingerprint_state = fingerprint_state(kernel)
     finally:
         shutdown()
     # Post-shutdown: everything returned.

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 #: Unforced, unchosen sites take the legacy default (what an
 #: uncontrolled kernel would do, same RNG streams and all).
@@ -66,9 +66,13 @@ SITE_TIMER_JITTER = "fault.timer_jitter"
 SITE_MEM_DRAIN = "mem.drain"
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
-    """What a chooser sees: a site about to decide, without the answer."""
+class DecisionPoint(NamedTuple):
+    """What a chooser sees: a site about to decide, without the answer.
+
+    A named tuple, like :class:`Decision`: one is built per decision of
+    every schedule, and a tuple is far cheaper to build than a frozen
+    dataclass.  The ``index`` field shadows ``tuple.index``.
+    """
 
     site: str
     #: Per-site sequence number (the seq-th time this site fired).
@@ -84,8 +88,7 @@ class DecisionPoint:
     labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One resolved choice point."""
 
     site: str
@@ -251,6 +254,7 @@ class ScheduleController:
         """Resolve one choice point; returns a choice in ``[0, n)``."""
         if n <= 1:
             return 0
+        labels = tuple(labels)
         index = len(self.trace.decisions)
         seq = self._site_seq.get(site, 0)
         self._site_seq[site] = seq + 1
@@ -262,7 +266,7 @@ class ScheduleController:
             forced = True
         elif self.chooser is not None:
             choice = self.chooser(
-                DecisionPoint(site, seq, index, n, now, tuple(labels))
+                DecisionPoint(site, seq, index, n, now, labels)
             )
         if choice is None:
             choice = 0 if self.tail == TAIL_BASELINE else default(seq)
@@ -271,6 +275,6 @@ class ScheduleController:
             self.divergences += 1
             choice = max(0, min(choice, n - 1))
         self.trace.decisions.append(
-            Decision(site, seq, n, choice, forced, now, tuple(labels))
+            Decision(site, seq, n, choice, forced, now, labels)
         )
         return choice

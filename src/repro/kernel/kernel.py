@@ -184,29 +184,6 @@ class Kernel:
         self._dispatches_this_instant = 0
         self._instant = -1
 
-        self._handlers: dict[type, Callable[[Cpu, SimThread, Any], _Outcome]] = {
-            Compute: self._h_compute,
-            Fork: self._h_fork,
-            Join: self._h_join,
-            Detach: self._h_detach,
-            Yield: self._h_yield,
-            YieldButNotToMe: self._h_yield_but_not_to_me,
-            DirectedYield: self._h_directed_yield,
-            Pause: self._h_pause,
-            GetSelf: self._h_get_self,
-            GetTime: self._h_get_time,
-            SetPriority: self._h_set_priority,
-            Enter: self._h_enter,
-            Exit: self._h_exit,
-            Wait: self._h_wait,
-            Notify: self._h_notify,
-            Broadcast: self._h_broadcast,
-            Channelreceive: self._h_channel_receive,
-            Annotate: self._h_annotate,
-            MemWrite: self._h_mem_write,
-            MemRead: self._h_mem_read,
-            Fence: self._h_fence,
-        }
         self.memory = create_memory_model(self.config, self.rng.fork("memory"))
         #: Passive race detector (Eraser lockset + happens-before), or
         #: None.  Imported lazily: analysis depends on the kernel, not
@@ -642,8 +619,7 @@ class Kernel:
                 raise KernelUsageError(
                     f"thread {thread.name!r} yielded {trap!r}, not a kernel trap"
                 )
-            handler = self._handlers[type(trap)]
-            outcome = handler(cpu, thread, trap)
+            outcome = _HANDLERS[type(trap)](self, cpu, thread, trap)
             if outcome is _Outcome.SUSPEND:
                 return
             if outcome is _Outcome.BURN:
@@ -1453,3 +1429,30 @@ class Kernel:
             self._timed,
             (deadline, next(self._timed_seq), thread, thread.wait_epoch, kind),
         )
+
+
+#: Trap type -> unbound handler, built once for the class rather than as
+#: a dict of bound methods per kernel; ``_resume`` passes ``self``.
+_HANDLERS: dict[type, Callable[[Kernel, Cpu, SimThread, Any], _Outcome]] = {
+    Compute: Kernel._h_compute,
+    Fork: Kernel._h_fork,
+    Join: Kernel._h_join,
+    Detach: Kernel._h_detach,
+    Yield: Kernel._h_yield,
+    YieldButNotToMe: Kernel._h_yield_but_not_to_me,
+    DirectedYield: Kernel._h_directed_yield,
+    Pause: Kernel._h_pause,
+    GetSelf: Kernel._h_get_self,
+    GetTime: Kernel._h_get_time,
+    SetPriority: Kernel._h_set_priority,
+    Enter: Kernel._h_enter,
+    Exit: Kernel._h_exit,
+    Wait: Kernel._h_wait,
+    Notify: Kernel._h_notify,
+    Broadcast: Kernel._h_broadcast,
+    Channelreceive: Kernel._h_channel_receive,
+    Annotate: Kernel._h_annotate,
+    MemWrite: Kernel._h_mem_write,
+    MemRead: Kernel._h_mem_read,
+    Fence: Kernel._h_fence,
+}

@@ -8,12 +8,19 @@ on this: same seed in, identical trace out.
 directly so the kernel code can only use the operations we have audited for
 cross-version stability (``random.Random``'s core methods are stable across
 CPython versions for a fixed seed).
+
+The Mersenne Twister behind it is seeded on the first draw, not at
+construction: most streams a kernel makes are never drawn from (the
+scheduler's outside fair share, the memory model's outside store
+buffers, every parent that exists only to ``fork``), and seeding is by
+far the dearest part of making a stream.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from functools import cached_property
 from typing import Sequence, TypeVar
 
 T = TypeVar("T")
@@ -24,7 +31,11 @@ class DeterministicRng:
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        self._random = random.Random(seed)
+
+    @cached_property
+    def _random(self) -> random.Random:
+        # Cached in the instance dict by the first draw.
+        return random.Random(self._seed)
 
     @property
     def seed(self) -> int:

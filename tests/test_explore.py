@@ -12,8 +12,11 @@ The two load-bearing properties:
   two independent replays).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.golden import fingerprint
 from repro.explore import (
     SCENARIOS,
     DecisionTrace,
@@ -91,6 +94,22 @@ class TestScheduleController:
         assert loaded.meta == {"scenario": "unit"}
         assert loaded.decisions[0].labels == ("a", "b", "c")
         assert loaded.decisions[0].forced is True
+
+    def test_generator_labels_are_recorded(self):
+        # ``labels`` may be any iterable: a generator is consumed once,
+        # and both the chooser and the saved trace see every label.
+        seen = []
+        controller = ScheduleController(
+            chooser=lambda point: seen.append(point.labels) or 1
+        )
+        names = ("a", "b", "c")
+        choice = controller.decide(
+            "sched.pick", 3, _const(0), labels=(name for name in names)
+        )
+        assert choice == 1
+        assert seen == [names]
+        assert controller.trace.decisions[0].labels == names
+        assert "sched.pick#0 -> b" in controller.trace.render()
 
     def test_render_marks_non_baseline_decisions(self):
         trace = DecisionTrace(decisions=[
@@ -182,6 +201,38 @@ class TestGoldenRecordReplay:
             assert again.fingerprint == driven.fingerprint, f"run {index}"
             assert again.trace.choices == driven.trace.choices
         assert drained, "the random walk must exercise drain choices"
+
+
+class TestDeferredFingerprint:
+    """``run_schedule`` snapshots the fingerprint state before shutdown
+    and digests it on first read; the digest must equal a fingerprint of
+    the live kernel, even where shutdown then reconciles live threads."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in SCENARIOS if not name.startswith("litmus-")]
+    )
+    def test_schedule_zero_matches_the_live_kernel(self, name):
+        scenario = SCENARIOS[name]
+        live = {}
+
+        def recording_build(config):
+            kernel, shutdown = scenario.build(config)
+
+            def fingerprint_then_shutdown():
+                live["fingerprint"] = fingerprint(kernel)
+                live["threads"] = kernel.stats.live_threads
+                shutdown()
+
+            return kernel, fingerprint_then_shutdown
+
+        outcome = run_schedule(
+            replace(scenario, build=recording_build),
+            ScheduleController(tail=TAIL_DEFAULT),
+        )
+        assert outcome.fingerprint == live["fingerprint"]
+        if name == "abba":
+            # The wedged pair is still alive when the run ends.
+            assert live["threads"] > 0
 
 
 class TestDirectedExploration:

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the kernel's core invariants."""
 
+import random
+
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
@@ -311,6 +313,72 @@ class TestRngProperties:
             assert not rng.chance(probability)
         if probability >= 1.0:
             assert rng.chance(probability)
+
+    @FAST
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_lazy_seeding_draws_the_eager_sequence(self, seed):
+        # The generator is seeded on the first draw; every operation must
+        # still follow a random.Random seeded at construction.
+        rng = DeterministicRng(seed)
+        assert "_random" not in vars(rng)
+        eager = random.Random(seed)
+        items = ("a", "b", "c", "d", "e")
+        for _ in range(3):
+            assert rng.uniform() == eager.random()
+            assert rng.chance(0.3) == (eager.random() < 0.3)
+            assert rng.randint(-5, 90) == eager.randint(-5, 90)
+            assert rng.choice(items) == items[eager.randrange(len(items))]
+            assert rng.expovariate(0.01) == max(1, round(eager.expovariate(0.01)))
+        assert "_random" in vars(rng)
+
+    @FAST
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        label=st.text(min_size=1, max_size=12),
+    )
+    def test_fork_ignores_whether_the_parent_drew(self, seed, label):
+        untouched = DeterministicRng(seed).fork(label)
+        drawn = DeterministicRng(seed)
+        drawn.randint(0, 10)
+        child = drawn.fork(label)
+        assert [child.randint(0, 10**9) for _ in range(4)] == [
+            untouched.randint(0, 10**9) for _ in range(4)
+        ]
+
+    def test_strict_sc_schedule_never_seeds_idle_streams(self, monkeypatch):
+        # A strict-policy sc kernel draws from neither the scheduler's
+        # stream (lottery only) nor the memory stream (store buffers
+        # only), so neither pays for seeding a Mersenne Twister.
+        from dataclasses import replace
+
+        from repro.explore import SCENARIOS, ScheduleController, run_schedule
+        from repro.kernel import kernel as kernel_module
+
+        seen = {}
+        create = kernel_module.create_memory_model
+
+        def recording_create(config, rng):
+            seen["memory_rng"] = rng
+            return create(config, rng)
+
+        monkeypatch.setattr(kernel_module, "create_memory_model", recording_create)
+        scenario = SCENARIOS["litmus-sb-sc"]
+
+        def recording_build(config):
+            kernel, shutdown = scenario.build(config)
+            seen["kernel"] = kernel
+            return kernel, shutdown
+
+        outcome = run_schedule(
+            replace(scenario, build=recording_build), ScheduleController()
+        )
+        kernel = seen["kernel"]
+        assert outcome.failures == []
+        assert len(outcome.trace) > 0  # a real, controlled schedule
+        assert kernel.config.scheduler_policy == "strict"
+        assert kernel.config.memory_model == "sc"
+        for rng in (kernel.scheduler.rng, seen["memory_rng"]):
+            assert "_random" not in vars(rng)
 
 
 class TestMergeProperties:
