@@ -6,8 +6,9 @@ paper's systems failed more insidiously: two threads of a forty-thread
 world deadlock over a pair of monitors and the rest of the system keeps
 running, or a ready thread sits behind a priority inversion "for
 considerable periods of time" (Section 6.2) without anything being
-technically stuck.  This watchdog catches both, on-line, from the same
-trap seams the race detector uses.
+technically stuck.  This watchdog catches both, on-line, as one of the
+kernel's passive observers (:mod:`repro.kernel.observer`), beside the
+race detector.
 
 **Waits-for graph.**  Each blocked thread has at most one out-edge, so
 the graph is functional and cycle detection is pointer-chasing with
@@ -46,10 +47,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.kernel.errors import Deadlock
+from repro.kernel.instrumentation import CAT_WATCHDOG
+from repro.kernel.observer import KernelObserver
 from repro.kernel.thread import SimThread, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
+
+#: States whose thread may sit on a waits-for cycle (see ``waits_on``).
+_CYCLE_STATES = (
+    ThreadState.BLOCKED_MONITOR,
+    ThreadState.WAITING_CV,
+    ThreadState.JOINING,
+)
 
 #: Row layout shared by the watchdog, the kernel's global deadlock
 #: report, and the CLI's ``--no-raise-on-deadlock`` table.
@@ -182,7 +192,7 @@ def format_rows(rows: list[tuple[str, str, str, str]]) -> str:
     return "\n".join(lines)
 
 
-class Watchdog:
+class Watchdog(KernelObserver):
     """Periodic waits-for and starvation sweeps over a live kernel."""
 
     def __init__(self, kernel: "Kernel") -> None:
@@ -213,14 +223,11 @@ class Watchdog:
 
     def on_block(self, thread: SimThread) -> None:
         """Register a just-blocked thread as a cycle candidate."""
-        if thread.state in (
-            ThreadState.BLOCKED_MONITOR,
-            ThreadState.WAITING_CV,
-            ThreadState.JOINING,
-        ):
+        if thread.state in _CYCLE_STATES:
             self._candidates[thread.tid] = thread
 
-    def maybe_check(self, now: int) -> None:
+    def on_instant(self, now: int) -> None:
+        """Sweep once ``interval`` has passed since the last sweep."""
         if now < self._next_check:
             return
         self._next_check = now + self.interval
@@ -236,15 +243,10 @@ class Watchdog:
 
     def _find_cycles(self, now: int) -> None:
         # Prune candidates that have moved on since they blocked.
-        blocked_states = (
-            ThreadState.BLOCKED_MONITOR,
-            ThreadState.WAITING_CV,
-            ThreadState.JOINING,
-        )
         for tid in [
             tid
             for tid, t in self._candidates.items()
-            if t.state not in blocked_states
+            if t.state not in _CYCLE_STATES
         ]:
             del self._candidates[tid]
         # Functional-graph cycle hunt with path colouring.  0/absent =
@@ -283,8 +285,6 @@ class Watchdog:
         self.deadlocks.append(report)
         kernel = self.kernel
         if kernel._trace_watchdog:
-            from repro.kernel.instrumentation import CAT_WATCHDOG
-
             kernel.tracer.record(
                 now, CAT_WATCHDOG, "deadlock", ordered[0].name,
                 "->".join(report.cycle),
@@ -325,8 +325,6 @@ class Watchdog:
             )
             self.starvation.append(report)
             if self.kernel._trace_watchdog:
-                from repro.kernel.instrumentation import CAT_WATCHDOG
-
                 self.kernel.tracer.record(
                     now, CAT_WATCHDOG, "starvation", thread.name,
                     report.starved_for,

@@ -41,6 +41,7 @@ from repro.server.clients import install_closed_loop, install_open_loop
 from repro.server.latency import LatencyHistogram
 from repro.server.model import ServerStats, TenantSpec
 from repro.server.server import RpcServer
+from repro.server.world import ServingReport
 
 #: Default simulated run length, matching the single-server world.
 DEFAULT_DURATION = sec(2)
@@ -53,7 +54,7 @@ DEFAULT_WORKERS_PER_SHARD = 4
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(ServingReport):
     """One cluster run, folded down to its SLO story."""
 
     scenario: str
@@ -74,23 +75,8 @@ class ClusterReport:
     digest: str = ""
 
     @property
-    def completed(self) -> int:
-        return self.merged["totals"]["completed"]
-
-    @property
-    def throughput_per_sec(self) -> float:
-        seconds = self.duration / 1_000_000
-        return self.completed / seconds if seconds else 0.0
-
-    @property
-    def quantiles(self) -> dict[str, int]:
-        latency = self.merged["latency"]
-        return {name: latency[name] for name in ("p50", "p95", "p99", "p999")}
-
-    @property
-    def shed_fraction(self) -> float:
-        offered = self.merged["totals"]["offered"]
-        return self.merged["totals"]["shed"] / offered if offered else 0.0
+    def _rollup(self) -> dict:
+        return self.merged
 
     def tenant_share(self, tenant: str) -> float:
         """This tenant's fraction of all completed requests."""

@@ -185,14 +185,6 @@ class Kernel:
         self._instant = -1
 
         self.memory = create_memory_model(self.config, self.rng.fork("memory"))
-        #: Passive race detector (Eraser lockset + happens-before), or
-        #: None.  Imported lazily: analysis depends on the kernel, not
-        #: vice versa, except through this optional observer.
-        self.race_detector = None
-        if self.config.race_detection:
-            from repro.analysis.races import RaceDetector
-
-            self.race_detector = RaceDetector(self)
         #: Seeded fault injector (repro.analysis.faults), or None.  Draws
         #: from a forked RNG stream, so a plan with all rates at zero is
         #: schedule-identical to no plan at all.
@@ -203,12 +195,23 @@ class Kernel:
             self.faults = FaultInjector(
                 self, self.config.fault_plan, self.rng.fork("faults")
             )
-        #: Passive waits-for watchdog (repro.analysis.watchdog), or None.
-        self.watchdog = None
+        #: Passive observers (repro.kernel.observer), also kept as result
+        #: handles that are None when off: the race detector (Eraser
+        #: lockset + happens-before) and the waits-for watchdog.  Imported
+        #: lazily: analysis depends on the kernel, not vice versa.
+        self.race_detector = self.watchdog = None
+        if self.config.race_detection:
+            from repro.analysis.races import RaceDetector
+
+            self.race_detector = RaceDetector(self)
         if self.config.watchdog:
             from repro.analysis.watchdog import Watchdog
 
             self.watchdog = Watchdog(self)
+        #: Every hook site tests this tuple once, then calls each observer.
+        self._observers = tuple(
+            o for o in (self.race_detector, self.watchdog) if o is not None
+        )
         _LIVE_KERNELS.add(self)
         # If the kernel is garbage-collected without shutdown(), close the
         # thread generators cleanly so their monitor-releasing `finally`
@@ -310,6 +313,7 @@ class Kernel:
         cpus = scheduler.cpus
         quantum = self.config.quantum
         preemptive = scheduler.policy != "fair_share"
+        observers = self._observers
         stopped = False
         while True:
             # One sweep over the CPUs finds the earliest burst end, the
@@ -374,8 +378,9 @@ class Kernel:
                 self._on_tick()
             for action in events.pop_due(now):
                 action(self)
-            if self.watchdog is not None:
-                self.watchdog.maybe_check(now)
+            if observers:
+                for observer in observers:
+                    observer.on_instant(now)
             if preemptive and scheduler.best_ready:
                 for cpu in cpus:
                     thread = cpu.current
@@ -572,8 +577,9 @@ class Kernel:
         if monitor.owner is None:
             monitor.owner = thread
             thread.held_monitors.append(monitor)
-            if self.race_detector is not None:
-                self.race_detector.on_acquire(thread, monitor)
+            if self._observers:
+                for observer in self._observers:
+                    observer.on_acquire(thread, monitor)
             # Charge the same lock-bookkeeping cost an uncontended Enter
             # pays; without this a contended acquisition would be cheaper.
             if self.config.monitor_overhead:
@@ -608,12 +614,12 @@ class Kernel:
                     thread.pending_send = None
                     trap = thread.body.send(value)
             except StopIteration as stop:
-                self._finish(cpu, thread, stop.value)
+                self._finish(cpu, thread, stop.value, None)
                 return
             except KernelUsageError:
                 raise
             except Exception as error:  # noqa: BLE001 - thread death boundary
-                self._finish_error(cpu, thread, error)
+                self._finish(cpu, thread, None, error)
                 return
             if not isinstance(trap, Trap):
                 raise KernelUsageError(
@@ -683,8 +689,9 @@ class Kernel:
         self._off_cpu(cpu, thread)
         thread.state = state
         thread.blocked_on = blocked_on
-        if self.watchdog is not None:
-            self.watchdog.on_block(thread)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_block(thread)
 
     # ------------------------------------------------------------------
     # Thread lifecycle
@@ -747,67 +754,56 @@ class Kernel:
                 self.now, instr.CAT_FORK, "create", thread.name,
                 parent.name if parent else None,
             )
-        if self.race_detector is not None:
-            self.race_detector.on_fork(parent, thread)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_fork(parent, thread)
         return thread
 
-    def _finish(self, cpu: Cpu, thread: SimThread, value: Any) -> None:
+    def _finish(
+        self, cpu: Cpu, thread: SimThread, value: Any, error: BaseException | None
+    ) -> None:
+        """End a thread that returned ``value`` or died of ``error``."""
         if thread.held_monitors:
+            # An exception unwinding through user-level `finally` clauses
+            # has already released monitors (Exit traps execute during the
+            # throw); anything still held means the protocol was violated.
             names = [m.name for m in thread.held_monitors]
-            raise MonitorProtocolError(
-                f"thread {thread.name!r} finished while holding {names}"
+            how = (
+                f"finished while holding {names}" if error is None
+                else f"died holding {names}: {error!r}"
             )
+            raise MonitorProtocolError(f"thread {thread.name!r} {how}") from error
         self._off_cpu(cpu, thread)
         thread.state = ThreadState.DONE
         thread.result = value
-        thread.ended_at = self.now
-        self._account_thread_end(thread)
-        if thread.joiner is not None:
-            joiner = thread.joiner
-            if self.race_detector is not None:
-                self.race_detector.on_join(joiner, thread)
-            joiner.pending_send = value
-            self.scheduler.make_ready(joiner)
-        if self._trace_end:
-            self.tracer.record(self.now, instr.CAT_END, "finish", thread.name)
-        self._release_fork_waiter()
-
-    def _finish_error(self, cpu: Cpu, thread: SimThread, error: BaseException) -> None:
-        # An exception unwinding through user-level `finally` clauses has
-        # already released monitors (Exit traps execute during the throw);
-        # anything still held means the cleanup protocol was violated.
-        if thread.held_monitors:
-            names = [m.name for m in thread.held_monitors]
-            raise MonitorProtocolError(
-                f"thread {thread.name!r} died holding {names}: {error!r}"
-            ) from error
-        self._off_cpu(cpu, thread)
-        thread.state = ThreadState.DONE
         thread.error = error
         thread.ended_at = self.now
-        self._account_thread_end(thread)
-        wrapped = UncaughtThreadError(thread.name, error)
-        if thread.joiner is not None:
-            joiner = thread.joiner
-            if self.race_detector is not None:
-                self.race_detector.on_join(joiner, thread)
-            joiner.pending_throw = wrapped
+        stats = self.stats
+        stats.threads_finished += 1
+        stats.live_threads -= 1
+        stats.stack_bytes -= self.config.stack_reservation
+        stats.lifetimes.append((thread.lifetime, thread.role))
+        wrapped = None if error is None else UncaughtThreadError(thread.name, error)
+        joiner = thread.joiner
+        if joiner is not None:
+            if self._observers:
+                for observer in self._observers:
+                    observer.on_join(joiner, thread)
+            if wrapped is None:
+                joiner.pending_send = value
+            else:
+                joiner.pending_throw = wrapped
             self.scheduler.make_ready(joiner)
-        elif not isinstance(error, ThreadKilled):
+        elif wrapped is not None and not isinstance(error, ThreadKilled):
             # Injected kills are faults, not workload bugs: an unjoined
             # victim's death must not fail the whole run at shutdown.
             self.pending_thread_errors.append(wrapped)
         if self._trace_end:
             self.tracer.record(
-                self.now, instr.CAT_END, "die", thread.name, repr(error)
+                self.now, instr.CAT_END, "finish" if error is None else "die",
+                thread.name, None if error is None else repr(error),
             )
         self._release_fork_waiter()
-
-    def _account_thread_end(self, thread: SimThread) -> None:
-        self.stats.threads_finished += 1
-        self.stats.live_threads -= 1
-        self.stats.stack_bytes -= self.config.stack_reservation
-        self.stats.lifetimes.append((thread.lifetime, thread.role))
 
     def _release_fork_waiter(self) -> None:
         """A thread slot freed up: unblock the oldest waiting FORK."""
@@ -858,9 +854,6 @@ class Kernel:
             return False
         return any(t.state in self._DEADLOCK_STATES for t in live)
 
-    def _deadlock_report(self) -> str:
-        return str(self._make_deadlock())
-
     def _make_deadlock(self) -> Deadlock:
         """Build the global-wedge :class:`Deadlock` with diagnosis rows.
 
@@ -894,8 +887,6 @@ class Kernel:
             self.tracer.record(
                 self.now, instr.CAT_CHANNEL, "post", "-", channel.name
             )
-        if self.race_detector is not None:
-            self.race_detector.on_channel_post(channel)
         # A waiter with a pending kill will unwind at resume, not
         # receive: handing it the item would drop the item on the floor.
         # Skip doomed waiters — resumed empty-handed to die, while the
@@ -910,8 +901,6 @@ class Kernel:
             waiter.pending_send = item
             channel.receives += 1
             self.stats.channel_receives += 1
-            if self.race_detector is not None:
-                self.race_detector.on_channel_receive(waiter, channel)
             self.scheduler.make_ready(waiter)
         else:
             channel.items.append(item)
@@ -972,8 +961,9 @@ class Kernel:
         target.joined = True
         self.stats.joins += 1
         if not target.alive:
-            if self.race_detector is not None:
-                self.race_detector.on_join(thread, target)
+            if self._observers:
+                for observer in self._observers:
+                    observer.on_join(thread, target)
             if target.error is not None:
                 thread.pending_throw = UncaughtThreadError(target.name, target.error)
             else:
@@ -1077,12 +1067,13 @@ class Kernel:
 
     def _h_mem_write(self, cpu: Cpu, thread: SimThread, trap: MemWrite) -> _Outcome:
         token = None
-        if self.race_detector is not None:
-            # The detector sees the access with the thread's current
-            # holding-lockset (thread.held_monitors) attached.  The
-            # returned write token travels with the stored value so a
-            # later reader can report which write it observed.
-            token = self.race_detector.on_write(thread, trap.var, self.now)
+        if self._observers:
+            # The race detector's write token travels with the stored
+            # value so a later reader can report which write it observed.
+            for observer in self._observers:
+                written = observer.on_write(thread, trap.var, self.now)
+                if written is not None:
+                    token = written
         if self.controller is not None and self.memory.drainable:
             self._offer_mem_drains()
         self.memory.store(trap.var, trap.value, self.now, thread=thread, token=token)
@@ -1094,14 +1085,16 @@ class Kernel:
             self._offer_mem_drains()
         value, token = self.memory.load_observed(trap.var, self.now, thread=thread)
         thread.pending_send = value
-        if self.race_detector is not None:
-            self.race_detector.on_read(thread, trap.var, self.now, observed=token)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_read(thread, trap.var, self.now, observed=token)
         return _Outcome.CONTINUE
 
     def _h_fence(self, cpu: Cpu, thread: SimThread, trap: Fence) -> _Outcome:
         self._fence(thread)
-        if self.race_detector is not None:
-            self.race_detector.on_fence(thread)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_fence(thread)
         thread.pending_send = None
         return _Outcome.CONTINUE
 
@@ -1154,8 +1147,9 @@ class Kernel:
         if monitor.owner is None:
             monitor.owner = thread
             thread.held_monitors.append(monitor)
-            if self.race_detector is not None:
-                self.race_detector.on_acquire(thread, monitor)
+            if self._observers:
+                for observer in self._observers:
+                    observer.on_acquire(thread, monitor)
             thread.pending_send = None
             if self.config.monitor_overhead:
                 thread.pending_compute += self.config.monitor_overhead
@@ -1201,8 +1195,9 @@ class Kernel:
             )
         thread.held_monitors.remove(monitor)
         self.stats.ml_exits += 1
-        if self.race_detector is not None:
-            self.race_detector.on_release(thread, monitor)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_release(thread, monitor)
         if monitor.boost_restore is not None:
             # Inheritance ablation: drop back to the pre-boost priority.
             thread.priority = monitor.boost_restore
@@ -1254,8 +1249,9 @@ class Kernel:
             )
         # Atomically release the monitor...
         thread.held_monitors.remove(monitor)
-        if self.race_detector is not None:
-            self.race_detector.on_release(thread, monitor)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_release(thread, monitor)
         self._hand_off_monitor(monitor)
         # ...and sleep on the condition.
         thread.wake_was_notify = False
@@ -1276,8 +1272,9 @@ class Kernel:
             self.tracer.record(
                 self.now, instr.CAT_CV, "notify", thread.name, cv.name
             )
-        if self.race_detector is not None:
-            self.race_detector.on_notify(thread, cv)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_notify(thread, cv)
         if (
             self.faults is not None
             and cv.waiters
@@ -1317,8 +1314,9 @@ class Kernel:
             self.tracer.record(
                 self.now, instr.CAT_CV, "broadcast", thread.name, cv.name
             )
-        if self.race_detector is not None:
-            self.race_detector.on_notify(thread, cv)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_notify(thread, cv)
         while cv.waiters:
             self._wake_cv_waiter(cv)
         thread.pending_send = None
@@ -1380,8 +1378,9 @@ class Kernel:
         """Wake a thread already removed from ``cv.waiters``."""
         waiter.wait_epoch += 1  # cancels the pending timeout lazily
         waiter.wake_was_notify = True
-        if self.race_detector is not None:
-            self.race_detector.on_cv_wake(waiter, cv)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_cv_wake(waiter, cv)
         waiter.stats.cv_notifies_received += 1
         self.stats.cv_wakeups += 1
         if self.config.notify_semantics == NOTIFY_DEFERRED:
@@ -1406,8 +1405,6 @@ class Kernel:
             thread.pending_send = channel.items.popleft()
             channel.receives += 1
             self.stats.channel_receives += 1
-            if self.race_detector is not None:
-                self.race_detector.on_channel_receive(thread, channel)
             return _Outcome.CONTINUE
         thread.wait_epoch += 1
         self._block_current(cpu, thread, ThreadState.RECEIVING, channel)

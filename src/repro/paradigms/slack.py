@@ -25,7 +25,7 @@ queue:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.kernel.primitives import Compute, Pause, Yield, YieldButNotToMe
 from repro.kernel.simtime import usec
@@ -132,8 +132,3 @@ class SlackProcess:
         elif self.strategy == GATHER_SLEEP:
             yield Pause(self.sleep_interval)
         # GATHER_NONE never reaches here.
-
-
-def drain_iterable(items: Iterable[Any]) -> list[Any]:
-    """Tiny helper for deliver functions that just collect batches."""
-    return list(items)

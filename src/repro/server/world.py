@@ -25,8 +25,39 @@ from repro.server.server import RpcServer
 DEFAULT_DURATION = sec(2)
 
 
+class ServingReport:
+    """SLO properties shared by the serving reports.
+
+    A subclass names its ``_rollup`` dict (``totals`` and ``latency``
+    rows, as ``ServerStats.to_dict`` shapes them) and has a simulated
+    ``duration``.
+    """
+
+    duration: int
+    _rollup: dict
+
+    @property
+    def completed(self) -> int:
+        return self._rollup["totals"]["completed"]
+
+    @property
+    def throughput_per_sec(self) -> float:
+        seconds = self.duration / 1_000_000
+        return self.completed / seconds if seconds else 0.0
+
+    @property
+    def quantiles(self) -> dict[str, int]:
+        latency = self._rollup["latency"]
+        return {name: latency[name] for name in ("p50", "p95", "p99", "p999")}
+
+    @property
+    def shed_fraction(self) -> float:
+        totals = self._rollup["totals"]
+        return totals["shed"] / totals["offered"] if totals["offered"] else 0.0
+
+
 @dataclass
-class ServerReport:
+class ServerReport(ServingReport):
     """One server run, folded down to its SLO story."""
 
     scenario: str
@@ -39,23 +70,8 @@ class ServerReport:
     digest: str = ""
 
     @property
-    def completed(self) -> int:
-        return self.stats["totals"]["completed"]
-
-    @property
-    def throughput_per_sec(self) -> float:
-        seconds = self.duration / 1_000_000
-        return self.completed / seconds if seconds else 0.0
-
-    @property
-    def quantiles(self) -> dict[str, int]:
-        latency = self.stats["latency"]
-        return {name: latency[name] for name in ("p50", "p95", "p99", "p999")}
-
-    @property
-    def shed_fraction(self) -> float:
-        offered = self.stats["totals"]["offered"]
-        return self.stats["totals"]["shed"] / offered if offered else 0.0
+    def _rollup(self) -> dict:
+        return self.stats
 
     def to_dict(self) -> dict:
         return {

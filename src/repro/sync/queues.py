@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.kernel.primitives import Broadcast, Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Enter, Exit, Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
@@ -273,15 +273,6 @@ class BoundedBuffer:
                 self.carry[item.rid] = item
             yield Notify(self.nonfull)
             return item
-        finally:
-            yield Exit(self.monitor)
-
-    def close_broadcast(self):
-        """Wake everyone (used by shutdown paths in tests)."""
-        yield Enter(self.monitor)
-        try:
-            yield Broadcast(self.nonempty)
-            yield Broadcast(self.nonfull)
         finally:
             yield Exit(self.monitor)
 

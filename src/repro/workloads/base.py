@@ -132,9 +132,9 @@ class StageSet:
     Activities bring their own condition variables with them — formatting
     waits on 46 distinct CVs where idle Cedar waits on 22 (Table 3).  A
     StageSet models those activity-specific CVs: worker code ``visit``\\ s
-    a stage, briefly waiting on its CV (usually timing out, sometimes
-    notified by a peer), which is enough to register the CV as used and
-    contribute its share of wait traffic.
+    a stage, briefly waiting on its CV until it times out, which is
+    enough to register the CV as used and contribute its share of wait
+    traffic.
     """
 
     def __init__(self, name: str, count: int, *, wait_timeout: int) -> None:
@@ -155,15 +155,6 @@ class StageSet:
         yield Enter(monitor)
         try:
             yield Wait(cv)
-        finally:
-            yield Exit(monitor)
-
-    def signal(self, index: int):
-        """Notify one stage (generator) — a peer finished its part."""
-        monitor, cv = self.stages[index % len(self.stages)]
-        yield Enter(monitor)
-        try:
-            yield Notify(cv)
         finally:
             yield Exit(monitor)
 

@@ -42,6 +42,7 @@ from repro.analysis.golden import (  # noqa: F401 - re-exported for scripts
     load_golden,
     regenerate_golden,
 )
+from repro.kernel.instrumentation import ALL_CATEGORIES, CAT_RACE
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "schedule_hashes.json"
 
@@ -69,6 +70,41 @@ def test_golden_schedule(name):
         "if it came from a performance change, the optimisation is NOT "
         "behaviour-preserving and must be fixed."
     )
+
+
+#: The kernel and world scenarios plus one serving world: between them
+#: they reach every observer hook, in about a second and a half.
+OBSERVED = [
+    "cedar-idle", "cedar-keyboard", "cedar-formatting", "gvx-idle",
+    "gvx-keyboard", "spurious-immediate", "spurious-deferred", "donations",
+    "fork-churn", "timed-waits", "multiprocessor", "fair-share",
+    "weak-memory", "server-steady",
+]
+
+
+@pytest.mark.parametrize("name", OBSERVED)
+def test_golden_schedule_every_observer_on(name):
+    """Observers watch, never steer: with the race detector and the
+    watchdog both on, every pin holds and the watchdog reports nothing.
+    Race events stay out of the trace (``weak-memory`` has two races by
+    design); every other category is recorded as in the pinned run."""
+    if _UPDATE:
+        pytest.skip("regenerating golden hashes (GOLDEN_UPDATE=1)")
+    seen = {}
+
+    def probe(kernel):
+        seen["watchdog"] = kernel.watchdog.deadlocks + kernel.watchdog.starvation
+
+    actual = SCENARIOS[name](
+        config_overrides={
+            "race_detection": True,
+            "watchdog": True,
+            "trace_categories": ALL_CATEGORIES - {CAT_RACE},
+        },
+        probe=probe,
+    )
+    assert seen["watchdog"] == []
+    assert actual == load_golden(GOLDEN_PATH)[name]
 
 
 def test_golden_update_mode():

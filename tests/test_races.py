@@ -14,6 +14,7 @@ from repro.casestudies.weakmem import run_init_once, run_publication
 from repro.kernel import Kernel, KernelConfig, SimVar
 from repro.kernel import primitives as p
 from repro.kernel.channel import Channel
+from repro.kernel.errors import UncaughtThreadError
 from repro.kernel.instrumentation import CAT_RACE
 from repro.kernel.simtime import msec, usec
 from repro.sync.monitor import Monitor
@@ -180,6 +181,38 @@ class TestTrueNegatives:
         kernel.fork_root(collector, name="collector", detached=False)
         kernel.run_for(msec(10))
         assert kernel.race_detector.reports == []
+        kernel.shutdown()
+
+    @pytest.mark.parametrize("child_dead_first", [False, True])
+    def test_join_of_a_thread_that_died_orders_its_writes(self, child_dead_first):
+        # The JOIN edge holds when the target died of an error: whether the
+        # joiner blocked first or the child was already dead, reading what
+        # the child wrote after catching its error is not a race.
+        kernel = make_kernel(propagate_thread_errors=False)
+        result = SimVar("result", initial=0)
+        seen = []
+
+        def child():
+            yield p.Compute(usec(10))
+            yield p.MemWrite(result, 42)
+            raise RuntimeError("child failed")
+
+        def parent():
+            thread = yield p.Fork(child, name="child")
+            if child_dead_first:
+                yield p.Pause(msec(1))
+            assert thread.alive is not child_dead_first
+            try:
+                yield p.Join(thread)
+            except UncaughtThreadError:
+                seen.append((yield p.MemRead(result)))
+
+        kernel.fork_root(parent, name="parent")
+        kernel.run_for(msec(200))  # sleeps wake at scheduler ticks
+        assert seen == [42]
+        assert kernel.race_detector.reports == []
+        # Only a death nobody was joining yet is left for propagation.
+        assert len(kernel.pending_thread_errors) == int(child_dead_first)
         kernel.shutdown()
 
     def test_fork_handoff_is_lockset_only(self):
